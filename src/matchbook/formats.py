@@ -21,6 +21,11 @@ class FormatError(ValueError):
     """Input document violates the canonical file format."""
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true`` and ``false`` parse to bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _family_to_json(fam: tuple | None):
     if fam is None:
         return None
@@ -41,7 +46,7 @@ def _family_from_json(doc) -> tuple | None:
     if doc["kind"] == "product":
         return ("product", parse_graph_dict(doc["left"]), parse_graph_dict(doc["right"]))
     args = doc.get("args", [])
-    if not all(isinstance(a, int) for a in args):
+    if not all(_is_int(a) for a in args):
         raise FormatError("family args must be integers")
     return (doc["kind"], *args)
 
@@ -68,14 +73,14 @@ def parse_graph_dict(doc) -> Graph:
     if not isinstance(doc, dict):
         raise FormatError("graph document must be a JSON object")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise FormatError("field 'n' must be a nonnegative integer")
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise FormatError("field 'edges' must be a list of pairs")
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             raise FormatError(f"edge entry {e!r} is not a pair of integers")
         pairs.append((e[0], e[1]))
     name = doc.get("name", "G")
@@ -116,17 +121,17 @@ def parse_embedding_dict(doc) -> EmbeddingDocument:
         raise FormatError("embedding document must be a JSON object")
     g = parse_graph_dict(doc.get("graph"))
     spine = doc.get("spine")
-    if not (isinstance(spine, list) and all(isinstance(x, int) for x in spine)):
+    if not (isinstance(spine, list) and all(_is_int(x) for x in spine)):
         raise FormatError("field 'spine' must be a list of integers")
     if sorted(spine) != list(range(g.n)):
         raise FormatError("spine is not a permutation of 0..n-1")
     pages = doc.get("pages")
-    if not (isinstance(pages, list) and all(isinstance(x, int) for x in pages)):
+    if not (isinstance(pages, list) and all(_is_int(x) for x in pages)):
         raise FormatError("field 'pages' must be a list of integers")
     if len(pages) != g.m:
         raise FormatError(f"pages has {len(pages)} entries for {g.m} edges")
     page_count = doc.get("page_count")
-    if not isinstance(page_count, int):
+    if not _is_int(page_count):
         raise FormatError("field 'page_count' must be an integer")
     if any(p < 0 or p >= page_count for p in pages):
         raise FormatError("page index out of range 0..page_count-1")

@@ -7,16 +7,19 @@ the page search and the exact chromatic-index oracle (which is the same
 kernel on the shared-endpoint conflicts alone).
 
 The search for the thickness iterates k upward from a certified lower
-bound and enumerates spine orders one per dihedral symmetry class, so the
+bound and searches spine orders one per dihedral symmetry class, so the
 first feasible level is exact and carries an exhaustiveness certificate.
+Orders are searched by prefix: the conflicts a prefix decides hold in
+every order that extends it, so one kernel call can refute a subtree.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice, permutations
+from itertools import permutations
+from math import factorial
 
 from .graphs import (
     Graph,
@@ -33,6 +36,8 @@ UNKNOWN = "unknown"
 
 DEFAULT_ORDER_NODES = 500_000
 DEFAULT_CHI_NODES = 2_000_000
+# prefix length at which a level's search splits into subtrees
+SPLIT_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,9 @@ def color_graph(masks: list[int], k: int, node_budget: int = DEFAULT_ORDER_NODES
     Unused colour indices are interchangeable, so at most one fresh colour
     is branched per step, and used colours always form the prefix 0..u-1.
     Returns FOUND with an assignment, INFEASIBLE after a complete search,
-    or UNKNOWN once the node budget runs out.
+    or UNKNOWN once the node budget runs out. The search keeps its own
+    stack, so its depth (up to the vertex count) is not bounded by Python's
+    recursion limit.
     """
     m = len(masks)
     if m == 0:
@@ -105,8 +112,9 @@ def color_graph(masks: list[int], k: int, node_budget: int = DEFAULT_ORDER_NODES
     forb = [0] * m
     counts = [[0] * k for _ in range(m)]
     usage = [0] * k
-    state = {"nodes": 0, "used": 0}
-    found: list[tuple[int, ...] | None] = [None]
+    nodes = 0
+    used = 0
+    found = None
 
     def pick() -> int:
         best, key = -1, None
@@ -145,40 +153,57 @@ def color_graph(masks: list[int], k: int, node_budget: int = DEFAULT_ORDER_NODES
                 if cu[c] == 0:
                     forb[u] &= ~bit
 
-    def search() -> str:
-        v = pick()
-        if v < 0:
-            found[0] = tuple(colors)
-            return FOUND
-        avail = ~forb[v] & full
-        if not avail:
-            return INFEASIBLE
-        used = state["used"]
-        limit = used + 1 if used < k else k
-        out = INFEASIBLE
-        for c in range(limit):
-            if not avail >> c & 1:
-                continue
-            state["nodes"] += 1
-            if state["nodes"] > node_budget:
-                return UNKNOWN
-            assign(v, c)
-            usage[c] += 1
-            if usage[c] == 1:
-                state["used"] += 1
-            r = search()
+    # One frame per coloured vertex: [vertex, available colours, colour
+    # limit, next colour to try, status so far]. ``result`` carries a
+    # finished child's status up to the frame below it, whose vertex holds
+    # the colour that child was searched under.
+    stack: list[list] = []
+    result = None
+    while True:
+        if result is None:
+            v = pick()
+            if v < 0:
+                found = tuple(colors)
+                result = FOUND
+            else:
+                avail = ~forb[v] & full
+                if avail:
+                    stack.append([v, avail, used + 1 if used < k else k, 0, INFEASIBLE])
+                else:
+                    result = INFEASIBLE
+        if result is not None:
+            if not stack:
+                break
+            frame = stack[-1]
+            v, c = frame[0], frame[3] - 1
             usage[c] -= 1
             if usage[c] == 0:
-                state["used"] -= 1
+                used -= 1
             undo(v, c)
-            if r == FOUND:
-                return FOUND
-            if r == UNKNOWN:
-                out = UNKNOWN
-        return out
-
-    status = search()
-    return ColoringOutcome(status, found[0], state["nodes"])
+            if result == FOUND:
+                stack.pop()
+                continue
+            if result == UNKNOWN:
+                frame[4] = UNKNOWN
+        v, avail, limit, c, status = stack[-1]
+        while c < limit and not avail >> c & 1:
+            c += 1
+        if c == limit:
+            stack.pop()
+            result = status
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            stack.pop()
+            result = UNKNOWN
+            continue
+        stack[-1][3] = c + 1
+        assign(v, c)
+        usage[c] += 1
+        if usage[c] == 1:
+            used += 1
+        result = None
+    return ColoringOutcome(result, found, nodes)
 
 
 @dataclass(frozen=True)
@@ -302,7 +327,6 @@ class SolveOptions:
     symmetry: bool = True
     order_nodes: int = DEFAULT_ORDER_NODES
     chi_nodes: int = DEFAULT_CHI_NODES
-    chunk_size: int = 128
 
 
 @dataclass
@@ -341,78 +365,210 @@ def spine_orders(n: int, symmetry: bool = True):
         yield (0, *rest)
 
 
-def _scan_chunk(payload, spines, k, node_budget):
-    n, edges = payload
-    g = Graph(n, edges)
-    unknown = False
-    nodes = 0
-    for i, spine in enumerate(spines):
-        out = color_graph(conflict_masks(g, spine), k, node_budget)
-        nodes += out.nodes
-        if out.status == FOUND:
-            return i, out.colors, unknown, nodes
-        if out.status == UNKNOWN:
-            unknown = True
-    return -1, None, unknown, nodes
+class _Timeout(Exception):
+    """The solve's deadline passed before a kernel call."""
 
 
-def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, stats: SolveStats):
-    """Scan spine orders at page budget k.
+class _PrefixSearch:
+    """Depth-first search over spine prefixes at one page budget.
 
-    Returns (found, any_unknown, timed_out); found is (spine, pages) for
-    the earliest feasible order in enumeration sequence, which keeps the
-    result deterministic for any worker count.
+    Vertices are placed left to right, each time trying the free vertices
+    in increasing order, so the canonical orders of ``spine_orders`` are
+    reached in its enumeration sequence. Every unplaced vertex lies right
+    of every placed one, and a crossing depends only on the relative order
+    of four endpoints, so some conflicts are decided by the prefix alone:
+    two closed edges (both ends placed) cross as on a full spine, and a
+    closed edge (a, b) conflicts with an open edge whose placed end c has
+    a < c < b. The decided conflicts hold in every completion, so when the
+    kernel refutes them at k pages, every order below the prefix is
+    refuted. A full spine decides every pair, so its masks are exactly
+    ``conflict_masks`` for it.
+
+    A state is (spine prefix, positions, masks, edges touched, edges
+    closed); masks start from the shared-endpoint conflicts.
     """
-    orders = spine_orders(g.n, opts.symmetry)
-    unknown = False
-    tested = 0
-    if opts.jobs <= 1:
-        for spine in orders:
-            if deadline is not None and time.monotonic() > deadline:
-                stats.per_level[k] = tested
-                return None, unknown, True
-            out = color_graph(conflict_masks(g, spine), k, opts.order_nodes)
-            tested += 1
-            stats.orders_tested += 1
-            stats.nodes += out.nodes
-            if out.status == FOUND:
-                stats.per_level[k] = tested
-                return (spine, out.colors), unknown, False
-            if out.status == UNKNOWN:
-                unknown = True
-        stats.per_level[k] = tested
-        return None, unknown, False
 
-    payload = (g.n, g.edges)
-    with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-        while True:
-            wave = []
-            for _ in range(opts.jobs):
-                chunk = tuple(islice(orders, opts.chunk_size))
-                if not chunk:
-                    break
-                wave.append(chunk)
-            if not wave:
+    def __init__(
+        self, payload, k: int, node_budget: int, symmetry: bool, deadline: float | None,
+        split: int | None = None,
+    ):
+        self.n, self.edges, self.base = payload
+        self.inc = [0] * self.n
+        for i, (u, v) in enumerate(self.edges):
+            self.inc[u] |= 1 << i
+            self.inc[v] |= 1 << i
+        self.k = k
+        self.node_budget = node_budget
+        self.pinned = symmetry and self.n >= 1
+        self.mirror = symmetry and self.n >= 3
+        self.deadline = deadline
+        # with a split depth, prefixes of that length are collected in
+        # order, each with the count of orders settled since the last one
+        self.split = split
+        self.items: list[tuple[int, tuple[int, ...]]] = []
+        self.settled = 0
+        self.nodes = 0
+        self.unknown = False
+
+    def root(self):
+        state = ((), [-1] * self.n, self.base, 0, 0)
+        return self.place(state, 0)[0] if self.pinned else state
+
+    def place(self, state, v: int):
+        """The state extended by vertex v, and whether that decided a new
+        conflict. An edge closed by v conflicts with the open edges whose
+        placed end lies strictly between its ends."""
+        spine, pos, masks, touched, closed = state
+        inc = self.inc
+        here = len(spine)
+        newly = inc[v] & touched
+        closed |= newly
+        opens = touched & ~closed
+        pos = pos[:]
+        pos[v] = here
+        changed = False
+        if newly and opens:
+            # right[x]: the edges at the vertices in positions x..here-1
+            right = [0] * (here + 1)
+            for x in range(here - 1, -1, -1):
+                right[x] = right[x + 1] | inc[spine[x]]
+            rest = newly
+            while rest:
+                low = rest & -rest
+                f = low.bit_length() - 1
+                rest ^= low
+                a, b = self.edges[f]
+                cross = right[pos[b if a == v else a] + 1] & opens
+                if not cross:
+                    continue
+                if not changed:
+                    masks = masks[:]
+                    changed = True
+                masks[f] |= cross
+                while cross:
+                    bit = cross & -cross
+                    masks[bit.bit_length() - 1] |= low
+                    cross ^= bit
+        return (spine + (v,), pos, masks, touched | inc[v], closed), changed
+
+    def leaves(self, spine: tuple[int, ...]) -> int:
+        """Canonical spine orders that extend the prefix."""
+        free = self.n - len(spine)
+        if not self.mirror:
+            return factorial(free)
+        if len(spine) == 1:
+            return factorial(free) // 2
+        # the order is canonical when its last vertex exceeds spine[1]
+        if free == 0:
+            return int(spine[-1] > spine[1])
+        larger = sum(1 for v in range(spine[1] + 1, self.n) if v not in spine)
+        return larger * factorial(free - 1)
+
+    def kernel(self, masks: list[int]) -> ColoringOutcome:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Timeout
+        out = color_graph(masks, self.k, self.node_budget)
+        self.nodes += out.nodes
+        return out
+
+    def visit(self, state, out: ColoringOutcome | None):
+        """Searches the orders below the state's prefix and returns the
+        earliest feasible (spine, pages), or None. ``out`` is the kernel's
+        verdict on the parent's masks when these are the same."""
+        spine = state[0]
+        if len(spine) == self.split:
+            self.items.append((self.settled, spine))
+            self.settled = 0
+            return None
+        if out is None:
+            out = self.kernel(state[2])
+        if out.status == INFEASIBLE:
+            self.settled += self.leaves(spine)
+            return None
+        if len(spine) == self.n:
+            self.settled += 1
+            if out.status == FOUND:
+                return spine, out.colors
+            self.unknown = True
+            return None
+        for v in range(self.n):
+            if state[1][v] < 0 and self.leaves(spine + (v,)):
+                child, changed = self.place(state, v)
+                found = self.visit(child, None if changed else out)
+                if found is not None:
+                    return found
+        return None
+
+
+def _scan_subtree(payload, prefix, k, node_budget, symmetry, deadline):
+    """Searches the orders below one spine prefix, in this process or in a
+    pool worker. Returns (found, orders settled, nodes, any unknown, timed
+    out)."""
+    search = _PrefixSearch(payload, k, node_budget, symmetry, deadline)
+    state = search.root()
+    for v in prefix[len(state[0]):]:
+        state = search.place(state, v)[0]
+    try:
+        found, timed = search.visit(state, None), False
+    except _Timeout:
+        found, timed = None, True
+    return found, search.settled, search.nodes, search.unknown, timed
+
+
+def _scan_level(
+    payload, k: int, opts: SolveOptions, deadline: float | None, stats: SolveStats, pool=None
+):
+    """Searches the spine orders at page budget k.
+
+    The prefix tree is searched here down to SPLIT_DEPTH; the subtrees of
+    the surviving prefixes are searched in order, in this process or in
+    the pool. Returns (found, any_unknown); found is (spine, pages) for the
+    earliest feasible order in enumeration sequence. Stats count the split
+    and the subtrees up to that one, so neither depends on the worker
+    count.
+    Raises _Timeout once the deadline has passed.
+    """
+    split = min(SPLIT_DEPTH, payload[0])
+    top = _PrefixSearch(payload, k, opts.order_nodes, opts.symmetry, deadline, split)
+    try:
+        top.visit(top.root(), None)
+    finally:
+        stats.nodes += top.nodes
+    args = (k, opts.order_nodes, opts.symmetry, deadline)
+    if pool is None:
+        futures = []
+        results = (_scan_subtree(payload, prefix, *args) for _, prefix in top.items)
+    else:
+        futures = [pool.submit(_scan_subtree, payload, prefix, *args) for _, prefix in top.items]
+        results = (f.result() for f in futures)
+    tested, unknown, found, timed = 0, False, None, False
+    try:
+        for (pruned, _), (found, settled, nodes, sub_unknown, timed) in zip(top.items, results):
+            tested += pruned + settled
+            stats.nodes += nodes
+            unknown = unknown or sub_unknown
+            if found is not None or timed:
                 break
-            futures = [
-                pool.submit(_scan_chunk, payload, ch, k, opts.order_nodes) for ch in wave
-            ]
-            results = [f.result() for f in futures]
-            for ch, (idx, pages, ch_unknown, ch_nodes) in zip(wave, results):
-                stats.nodes += ch_nodes
-                unknown = unknown or ch_unknown
-                if idx >= 0:
-                    tested += idx + 1
-                    stats.orders_tested += idx + 1
-                    stats.per_level[k] = tested
-                    return (ch[idx], pages), unknown, False
-                tested += len(ch)
-                stats.orders_tested += len(ch)
-            if deadline is not None and time.monotonic() > deadline:
-                stats.per_level[k] = tested
-                return None, unknown, True
+        else:
+            tested += top.settled
+    finally:
+        for f in futures:
+            f.cancel()
+    stats.orders_tested += tested
     stats.per_level[k] = tested
-    return None, unknown, False
+    if timed:
+        raise _Timeout
+    return found, unknown
+
+
+def _worker_pool(jobs: int):
+    """A process pool for jobs > 1; imported here so that serial callers
+    never load concurrent.futures."""
+    if jobs <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
 def _embedding_from(g: Graph, spine: tuple[int, ...], pages: tuple[int, ...]) -> BookEmbedding:
@@ -443,18 +599,21 @@ def exact_mbt(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
 
     clean_below = True
     hi = upper if opts.max_pages is None else min(upper, opts.max_pages + 1)
-    for k in range(cert.value, hi):
-        found, level_unknown, timed = _scan_level(g, k, opts, deadline, stats)
-        if timed:
-            stats.timed_out = True
-            stats.elapsed_s = time.monotonic() - start
-            return SolveResult(upper, fallback, False, cert, stats)
-        if found is not None:
-            spine, pages = found
-            emb = _embedding_from(g, spine, pages)
-            stats.elapsed_s = time.monotonic() - start
-            return SolveResult(emb.page_count, emb, clean_below, cert, stats)
-        clean_below = clean_below and not level_unknown
+    payload = (g.n, g.edges, endpoint_conflict_masks(g))
+    with _worker_pool(opts.jobs) as pool:
+        for k in range(cert.value, hi):
+            try:
+                found, level_unknown = _scan_level(payload, k, opts, deadline, stats, pool)
+            except _Timeout:
+                stats.timed_out = True
+                stats.elapsed_s = time.monotonic() - start
+                return SolveResult(upper, fallback, False, cert, stats)
+            if found is not None:
+                spine, pages = found
+                emb = _embedding_from(g, spine, pages)
+                stats.elapsed_s = time.monotonic() - start
+                return SolveResult(emb.page_count, emb, clean_below, cert, stats)
+            clean_below = clean_below and not level_unknown
     stats.elapsed_s = time.monotonic() - start
     if opts.max_pages is not None and upper > opts.max_pages:
         return SolveResult(None, None, False, cert, stats)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matchbook
 from matchbook.cli import main
 from matchbook.constructions import complete_embedding
 from matchbook.formats import (
@@ -263,3 +268,31 @@ def test_embed_unresolved_and_fallback_solver(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["scheme"] == "solver" and doc["page_count"] == 4
+
+
+def test_boolean_edge_endpoint_is_usage_error(capsys, tmp_path):
+    gp = tmp_path / "g.json"
+    gp.write_text('{"type": "graph", "n": 3, "edges": [[0, true], [1, 2]]}')
+    code, out, err = run(capsys, "solve", str(gp))
+    assert code == 2 and out == "" and "not a pair of integers" in err
+
+
+def test_boolean_spine_entry_is_usage_error(capsys, tmp_path):
+    gp, ep = tmp_path / "g.json", tmp_path / "e.json"
+    save_graph(cycle(3), gp)
+    doc = embedding_to_dict(BookEmbedding(cycle(3), (0, 1, 2), (0, 1, 2), 3))
+    doc["spine"] = [0, True, 2]
+    ep.write_text(dumps(doc))
+    assert run(capsys, "verify", str(gp), str(ep))[0] == 2
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # the pool module is imported only when a solve runs with jobs > 1
+    code = "import sys, matchbook.cli; print('concurrent.futures' in sys.modules)"
+    src = str(Path(matchbook.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -24,6 +24,7 @@ from matchbook.graphs import (
     kpcq,
     path,
 )
+from matchbook.layout import BookEmbedding
 
 GENERATED = [
     complete(1),
@@ -134,3 +135,43 @@ def test_embedding_rejects_non_contiguous_pages():
 def test_embedding_rejects_bad_scheme_type():
     with pytest.raises(FormatError, match="'scheme'"):
         parse_embedding_text(_emb_doc(scheme=3))
+
+
+# JSON true/false parse to bool, a subclass of int; none may stand for 0 or 1
+
+
+def test_graph_rejects_boolean_n():
+    with pytest.raises(FormatError, match="'n'"):
+        parse_graph_text('{"n": true, "edges": []}')
+
+
+def test_graph_rejects_boolean_edge_endpoint():
+    with pytest.raises(FormatError, match="not a pair of integers"):
+        parse_graph_text('{"n": 3, "edges": [[0, true], [1, 2]]}')
+
+
+def test_embedding_rejects_boolean_spine_entry():
+    with pytest.raises(FormatError, match="'spine'"):
+        parse_embedding_text(_emb_doc(spine=[0, True, 2]))
+
+
+def test_embedding_rejects_boolean_page():
+    doc = embedding_to_dict(complete_embedding(3))
+    pages = [True if p == 1 else p for p in doc["pages"]]
+    assert True in pages
+    with pytest.raises(FormatError, match="'pages'"):
+        parse_embedding_text(_emb_doc(pages=pages))
+
+
+def test_embedding_rejects_boolean_page_count():
+    doc = embedding_to_dict(BookEmbedding(path(2), (0, 1), (0,), 1))
+    doc["page_count"] = True
+    with pytest.raises(FormatError, match="'page_count'"):
+        parse_embedding_text(json.dumps(doc))
+
+
+def test_graph_rejects_boolean_family_arg():
+    with pytest.raises(FormatError, match="family args"):
+        parse_graph_text(
+            '{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "family": {"kind": "cycle", "args": [true]}}'
+        )

@@ -1,3 +1,6 @@
+from itertools import islice, permutations
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,13 +17,18 @@ from matchbook.graphs import (
     max_degree,
     path,
 )
+from matchbook.constructions import kpcq_embedding
 from matchbook.layout import validate
 from matchbook.solver import (
+    DEFAULT_ORDER_NODES,
     FOUND,
     INFEASIBLE,
     UNKNOWN,
     BoundCertificate,
     SolveOptions,
+    SolveStats,
+    _PrefixSearch,
+    _scan_level,
     color_graph,
     conflict_masks,
     edge_chromatic_exact,
@@ -211,7 +219,7 @@ def test_symmetry_quotient_loses_nothing(g):
 def test_parallel_scan_is_deterministic():
     g = complete_bipartite(3, 3)
     serial = exact_mbt(g, SolveOptions(jobs=1))
-    parallel = exact_mbt(g, SolveOptions(jobs=2, chunk_size=8))
+    parallel = exact_mbt(g, SolveOptions(jobs=2))
     assert serial.value == parallel.value == 3
     assert serial.exhaustive == parallel.exhaustive
     assert serial.witness.spine == parallel.witness.spine
@@ -224,10 +232,11 @@ def test_max_pages_cap():
 
 
 def test_timeout_returns_upper_bound():
-    res = exact_mbt(complete_bipartite(3, 3), SolveOptions(timeout_s=0.0))
-    assert res.stats.timed_out and not res.exhaustive
-    assert res.value is not None
-    assert validate(res.witness).valid
+    for jobs in (1, 2):
+        res = exact_mbt(complete_bipartite(3, 3), SolveOptions(timeout_s=0.0, jobs=jobs))
+        assert res.stats.timed_out and not res.exhaustive
+        assert res.value is not None and res.value == res.witness.page_count
+        assert validate(res.witness).valid
 
 
 def test_witness_page_count_matches_value():
@@ -248,7 +257,7 @@ def test_starved_order_budget_never_claims_exactness():
 def test_parallel_matches_serial_on_q3():
     g = hypercube(3)
     serial = exact_mbt(g, SolveOptions(jobs=1))
-    parallel = exact_mbt(g, SolveOptions(jobs=3, chunk_size=16))
+    parallel = exact_mbt(g, SolveOptions(jobs=3))
     assert serial.value == parallel.value == 3
     assert serial.exhaustive and parallel.exhaustive
     assert serial.witness.spine == parallel.witness.spine
@@ -263,3 +272,197 @@ def test_solver_confirms_grid_closed_form(p, q):
     assert res.exhaustive
     assert res.value == p + 2 == max_degree(g) + 1
     assert validate(res.witness).valid
+
+
+def recursive_color_graph(masks, k, node_budget=DEFAULT_ORDER_NODES):
+    """The kernel as it was written before it kept its own stack: the
+    reference for its branching order, node counts and colourings."""
+    m = len(masks)
+    if m == 0:
+        return FOUND, (), 0
+    if k <= 0:
+        return INFEASIBLE, None, 0
+    full = (1 << k) - 1
+    degs = [mask.bit_count() for mask in masks]
+    colors = [-1] * m
+    forb = [0] * m
+    counts = [[0] * k for _ in range(m)]
+    usage = [0] * k
+    state = {"nodes": 0, "used": 0}
+    found = [None]
+
+    def pick():
+        best, key = -1, None
+        for v in range(m):
+            if colors[v] < 0:
+                cand = (forb[v].bit_count(), degs[v], -v)
+                if key is None or cand > key:
+                    best, key = v, cand
+        return best
+
+    def recolor(v, c, step):
+        for u in range(m):
+            if masks[v] >> u & 1 and colors[u] < 0:
+                counts[u][c] += step
+                if counts[u][c]:
+                    forb[u] |= 1 << c
+                else:
+                    forb[u] &= ~(1 << c)
+
+    def search():
+        v = pick()
+        if v < 0:
+            found[0] = tuple(colors)
+            return FOUND
+        avail = ~forb[v] & full
+        if not avail:
+            return INFEASIBLE
+        used = state["used"]
+        out = INFEASIBLE
+        for c in range(used + 1 if used < k else k):
+            if not avail >> c & 1:
+                continue
+            state["nodes"] += 1
+            if state["nodes"] > node_budget:
+                return UNKNOWN
+            colors[v] = c
+            recolor(v, c, 1)
+            usage[c] += 1
+            state["used"] += usage[c] == 1
+            r = search()
+            usage[c] -= 1
+            state["used"] -= usage[c] == 0
+            colors[v] = -1
+            recolor(v, c, -1)
+            if r == FOUND:
+                return FOUND
+            if r == UNKNOWN:
+                out = UNKNOWN
+        return out
+
+    status = search()
+    return status, found[0], state["nodes"]
+
+
+@given(
+    graphs(min_n=2, max_n=7),
+    st.integers(0, 5),
+    st.integers(1, 60),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150)
+def test_color_graph_matches_recursive_reference(g, k, budget, rnd):
+    spine = list(range(g.n))
+    rnd.shuffle(spine)
+    for masks in (conflict_masks(g, tuple(spine)), endpoint_conflict_masks(g)):
+        for b in (budget, DEFAULT_ORDER_NODES):
+            out = color_graph(masks, k, b)
+            assert (out.status, out.colors, out.nodes) == recursive_color_graph(masks, k, b)
+
+
+def test_color_graph_depth_beyond_recursion_limit():
+    # m = 1,155 edges on the snake spine; a recursive search overflowed here
+    emb = kpcq_embedding(10, 21).embedding
+    out = feasible_pages(emb.graph, emb.spine, 12)
+    assert out.status == FOUND
+    assert max(out.pages) + 1 == 12 and validate_pages(emb.graph, emb.spine, out.pages)
+
+
+def replay(g, spine, symmetry=False):
+    search = _PrefixSearch((g.n, g.edges, endpoint_conflict_masks(g)), 1, 1, symmetry, None)
+    state = search.root()
+    for v in spine[len(state[0]):]:
+        state = search.place(state, v)[0]
+    return state[2]
+
+
+@given(graphs(min_n=1, max_n=8), st.randoms(use_true_random=False), st.integers(0, 8))
+@settings(max_examples=120)
+def test_prefix_masks_are_decided_conflicts(g, rnd, cut):
+    spine = list(range(g.n))
+    rnd.shuffle(spine)
+    full = conflict_masks(g, tuple(spine))
+    assert replay(g, spine) == full
+    # a prefix's conflicts are exactly those of the full spine that hold
+    # under every order of the vertices still to be placed
+    prefix = spine[: min(cut, g.n)]
+    rest = spine[len(prefix):]
+    decided = replay(g, prefix)
+    common = [-1] * g.m
+    for tail in islice(permutations(rest), 120):
+        for i, mask in enumerate(conflict_masks(g, (*prefix, *tail))):
+            common[i] &= mask
+    if len(rest) <= 5:
+        assert decided == common
+    else:
+        assert all(d & ~c == 0 for d, c in zip(decided, common))
+
+
+def flat_scan(g, k, symmetry):
+    """One kernel call per spine order, in enumeration sequence."""
+    tested = 0
+    for spine in spine_orders(g.n, symmetry):
+        out = color_graph(conflict_masks(g, spine), k)
+        tested += 1
+        assert out.status != UNKNOWN
+        if out.status == FOUND:
+            return (spine, out.colors), tested
+    return None, tested
+
+
+SCAN_CORPUS = [
+    cycle(5),
+    complete_bipartite(3, 4),
+    hypercube(3),
+    complete(5),
+    delete_edge(complete(6), (0, 1)),
+    kpcq(3, 3),
+]
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+@pytest.mark.parametrize("g", SCAN_CORPUS, ids=lambda g: g.name)
+def test_prefix_scan_matches_flat_scan(g, symmetry):
+    res = exact_mbt(g, SolveOptions(symmetry=symmetry))
+    assert res.exhaustive
+    payload = (g.n, g.edges, endpoint_conflict_masks(g))
+    everything = factorial(g.n - 1) // 2 if symmetry else factorial(g.n)
+    for k in range(res.bound.value, res.value + 1):
+        stats = SolveStats()
+        found, unknown = _scan_level(payload, k, SolveOptions(symmetry=symmetry), None, stats)
+        expected, tested = flat_scan(g, k, symmetry)
+        assert found == expected and not unknown
+        assert stats.per_level == {k: tested} and stats.orders_tested == tested
+        if k < res.value:
+            assert found is None and tested == everything
+        else:
+            assert found is not None
+            assert (found[0], found[1]) == (res.witness.spine, res.witness.pages)
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+@pytest.mark.parametrize(
+    "g", [cycle(5), complete(5), delete_edge(complete(6), (0, 1))], ids=lambda g: g.name
+)
+def test_prefix_scan_below_the_bound(g, symmetry):
+    # below the chromatic index the empty prefix already refutes the level
+    k = lower_bound(g).value - 1
+    stats = SolveStats()
+    payload = (g.n, g.edges, endpoint_conflict_masks(g))
+    found, unknown = _scan_level(payload, k, SolveOptions(symmetry=symmetry), None, stats)
+    assert (found, unknown) == (None, False)
+    assert stats.per_level == {k: flat_scan(g, k, symmetry)[1]}
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+@pytest.mark.parametrize("g", SCAN_CORPUS, ids=lambda g: g.name)
+def test_scan_stats_do_not_depend_on_jobs(g, symmetry):
+    serial = exact_mbt(g, SolveOptions(jobs=1, symmetry=symmetry))
+    parallel = exact_mbt(g, SolveOptions(jobs=2, symmetry=symmetry))
+    assert (serial.value, serial.exhaustive) == (parallel.value, parallel.exhaustive)
+    assert serial.witness == parallel.witness
+    a, b = serial.stats, parallel.stats
+    assert (a.orders_tested, a.nodes, a.per_level) == (b.orders_tested, b.nodes, b.per_level)
+    assert not a.timed_out and not b.timed_out
+    assert sum(a.per_level.values()) == a.orders_tested
+
