@@ -4,7 +4,11 @@ A graph file holds name, n and the sorted edge list; an embedding file
 holds the graph inline plus the spine and the page array parallel to the
 canonical edge order. Parsers reject duplicate edges, out-of-range
 indices, non-permutation spines and non-contiguous page indices, each
-with its own diagnostic.
+with its own diagnostic. A family tag is trusted by the constructions,
+so it must name a known generator with the right number of arguments,
+agree with the document's n and m in closed form, and then regenerate
+exactly the document's edges; the size check comes first, so a tag that
+claims a huge graph is rejected without building it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,17 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graphs import Graph, product_labels
+from .graphs import (
+    Graph,
+    cartesian_product,
+    complete,
+    complete_bipartite,
+    cycle,
+    hypercube,
+    kpcq,
+    path,
+    product_labels,
+)
 from .layout import BookEmbedding, MalformedEmbeddingError, check_structure
 
 
@@ -38,17 +52,58 @@ def _family_to_json(fam: tuple | None):
     return {"kind": fam[0], "args": list(fam[1:])}
 
 
+# kind -> (argument count, generator, closed-form (n, m) of its graph)
+_FAMILIES = {
+    "complete": (1, complete, lambda p: (p, p * (p - 1) // 2)),
+    "cycle": (1, cycle, lambda q: (q, q)),
+    "path": (1, path, lambda n: (n, n - 1)),
+    "complete-bipartite": (2, complete_bipartite, lambda a, b: (a + b, a * b)),
+    # no document holds the 64 * 2**63 edges of Q64, so a larger d never
+    # matches and 2**d need not be computed
+    "hypercube": (1, hypercube, lambda d: (1 << d, d << d >> 1) if 0 <= d <= 64 else None),
+    "kpcq": (2, kpcq, lambda p, q: (p * q, p * q * (p + 1) // 2)),
+}
+
+
+def _check_family(g: Graph) -> None:
+    """Raises FormatError unless g's family tag describes g exactly."""
+    if g.family is None:
+        return
+    kind, *args = g.family
+    if kind == "product":
+        left, right = args
+        label, build = "product", cartesian_product
+        size = (left.n * right.n, left.m * right.n + right.m * left.n)
+    else:
+        arity, build, closed_form = _FAMILIES[kind]
+        if len(args) != arity:
+            raise FormatError(f"family {kind} takes {arity} argument(s), got {len(args)}")
+        label = f"{kind}({', '.join(map(str, args))})"
+        size = closed_form(*args)
+    if size != (g.n, g.m):
+        raise FormatError(f"family {label} does not match the graph's n={g.n}, m={g.m}")
+    try:
+        regenerated = build(*args)
+    except ValueError as exc:
+        raise FormatError(f"family {label}: {exc}") from None
+    if regenerated != g:
+        raise FormatError(f"family {label} edges differ from the graph's")
+
+
 def _family_from_json(doc) -> tuple | None:
     if doc is None:
         return None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError("family must be an object with a 'kind' field")
-    if doc["kind"] == "product":
-        return ("product", parse_graph_dict(doc["left"]), parse_graph_dict(doc["right"]))
+    kind = doc["kind"]
+    if kind == "product":
+        return ("product", parse_graph_dict(doc.get("left")), parse_graph_dict(doc.get("right")))
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise FormatError(f"unknown family kind {kind!r}")
     args = doc.get("args", [])
-    if not all(_is_int(a) for a in args):
+    if not (isinstance(args, list) and all(_is_int(a) for a in args)):
         raise FormatError("family args must be integers")
-    return (doc["kind"], *args)
+    return (kind, *args)
 
 
 def graph_to_dict(g: Graph) -> dict:
@@ -87,9 +142,11 @@ def parse_graph_dict(doc) -> Graph:
     if not isinstance(name, str):
         raise FormatError("field 'name' must be a string")
     try:
-        return Graph(n, tuple(pairs), name=name, family=_family_from_json(doc.get("family")))
+        g = Graph(n, tuple(pairs), name=name, family=_family_from_json(doc.get("family")))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    _check_family(g)
+    return g
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,11 @@ Feasibility of k pages for a fixed spine is k-colourability of the
 conflict graph on edges (two edges conflict when they share an endpoint or
 interleave on the spine), so one backtracking colouring kernel serves both
 the page search and the exact chromatic-index oracle (which is the same
-kernel on the shared-endpoint conflicts alone).
+kernel on the shared-endpoint conflicts alone). The kernel is Brélaz's
+DSATUR on bitmasks: per colour, the set of vertices adjacent to it, and
+the saturation counts bit-sliced into log k planes, so picking, colouring
+and uncolouring a vertex take a few mask operations instead of a pass
+over the conflict graph.
 
 The search for the thickness iterates k upward from a certified lower
 bound and searches spine orders one per dihedral symmetry class, so the
@@ -91,119 +95,129 @@ def endpoint_conflict_masks(g: Graph) -> list[int]:
     return masks
 
 
-def color_graph(masks: list[int], k: int, node_budget: int = DEFAULT_ORDER_NODES) -> ColoringOutcome:
-    """Exact k-colourability by saturation-ordered backtracking.
+def color_graph(
+    masks: list[int], k: int, node_budget: int = DEFAULT_ORDER_NODES, deadline: float | None = None
+) -> ColoringOutcome:
+    """Exact k-colourability by saturation-ordered backtracking (DSATUR).
 
-    Unused colour indices are interchangeable, so at most one fresh colour
-    is branched per step, and used colours always form the prefix 0..u-1.
-    Returns FOUND with an assignment, INFEASIBLE after a complete search,
-    or UNKNOWN once the node budget runs out. The search keeps its own
-    stack, so its depth (up to the vertex count) is not bounded by Python's
-    recursion limit.
+    Each step colours the uncoloured vertex with the largest (saturation,
+    degree, -index) and tries its colours in ascending order. Unused colour
+    indices are interchangeable, so at most one fresh colour is branched
+    per step, and used colours always form the prefix 0..u-1. Returns
+    FOUND with an assignment, INFEASIBLE after a complete search, or
+    UNKNOWN once the node budget runs out or, checked every 1,024 nodes,
+    the ``time.monotonic()`` deadline has passed.
+
+    The search state is a handful of bitmasks over the vertices, so a
+    step's cost does not grow with the vertex count beyond the width of
+    those masks. ``near[c]`` holds the vertices adjacent to colour c; a
+    vertex's saturation is the number of colours whose mask holds it.
+    Saturations are kept bit-sliced: ``planes[i]`` holds the vertices
+    whose saturation has bit i set, and colouring a vertex ripple-adds the
+    vertices it newly makes adjacent to its colour. The most saturated
+    uncoloured vertices are found by intersecting the planes from the top,
+    ties go to the highest degree class, then to the lowest index.
+    Colouring and undoing a vertex are O(log k) mask operations. The search
+    keeps its own stack, so its depth (up to the vertex count) is not
+    bounded by Python's recursion limit.
     """
     m = len(masks)
     if m == 0:
         return ColoringOutcome(FOUND, ())
     if k <= 0:
         return ColoringOutcome(INFEASIBLE)
-    full = (1 << k) - 1
-    degs = [mask.bit_count() for mask in masks]
-    colors = [-1] * m
-    forb = [0] * m
-    counts = [[0] * k for _ in range(m)]
-    usage = [0] * k
-    nodes = 0
+    classes: dict[int, int] = {}
+    for v, mask in enumerate(masks):
+        d = mask.bit_count()
+        classes[d] = classes.get(d, 0) | 1 << v
+    by_degree = [classes[d] for d in sorted(classes, reverse=True)]
+    planes = [0] * k.bit_length()
+    bits = range(len(planes))
+    top_down = bits[::-1]
+    near = [0] * k
+    free = (1 << m) - 1
     used = 0
-    found = None
-
-    def pick() -> int:
-        best, key = -1, None
-        for v in range(m):
-            if colors[v] < 0:
-                cand = (forb[v].bit_count(), degs[v], -v)
-                if key is None or cand > key:
-                    best, key = v, cand
-        return best
-
-    def assign(v: int, c: int) -> None:
-        colors[v] = c
-        bit = 1 << c
-        rest = masks[v]
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            if colors[u] < 0:
-                cu = counts[u]
-                cu[c] += 1
-                if cu[c] == 1:
-                    forb[u] |= bit
-
-    def undo(v: int, c: int) -> None:
-        colors[v] = -1
-        bit = 1 << c
-        rest = masks[v]
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            if colors[u] < 0:
-                cu = counts[u]
-                cu[c] -= 1
-                if cu[c] == 0:
-                    forb[u] &= ~bit
-
-    # One frame per coloured vertex: [vertex, available colours, colour
-    # limit, next colour to try, status so far]. ``result`` carries a
-    # finished child's status up to the frame below it, whose vertex holds
-    # the colour that child was searched under.
+    nodes = 0
+    # One frame per coloured vertex: [vertex, colours still to try, status
+    # so far, colour held, vertices that colour newly reached, colours in
+    # use before it]. ``result`` carries a finished child's status up to
+    # the frame below it, whose vertex holds the colour that child was
+    # searched under.
     stack: list[list] = []
     result = None
     while True:
         if result is None:
-            v = pick()
-            if v < 0:
-                found = tuple(colors)
-                result = FOUND
+            if not free:
+                colors = [0] * m
+                for frame in stack:
+                    colors[frame[0]] = frame[3]
+                return ColoringOutcome(FOUND, tuple(colors), nodes)
+            cand = free
+            for i in top_down:
+                hit = cand & planes[i]
+                if hit:
+                    cand = hit
+            for cls in by_degree:
+                hit = cand & cls
+                if hit:
+                    break
+            low = hit & -hit
+            avail = 0
+            for c in range(used):
+                if not near[c] & low:
+                    avail |= 1 << c
+            if used < k:
+                avail |= 1 << used
+            if avail:
+                stack.append([low.bit_length() - 1, avail, INFEASIBLE, 0, 0, used])
             else:
-                avail = ~forb[v] & full
-                if avail:
-                    stack.append([v, avail, used + 1 if used < k else k, 0, INFEASIBLE])
-                else:
-                    result = INFEASIBLE
+                result = INFEASIBLE
         if result is not None:
             if not stack:
-                break
+                return ColoringOutcome(result, None, nodes)
             frame = stack[-1]
-            v, c = frame[0], frame[3] - 1
-            usage[c] -= 1
-            if usage[c] == 0:
-                used -= 1
-            undo(v, c)
-            if result == FOUND:
-                stack.pop()
-                continue
+            v, c, added, used = frame[0], frame[3], frame[4], frame[5]
+            free |= 1 << v
+            near[c] ^= added
+            for i in bits:
+                plane = planes[i]
+                planes[i] = plane ^ added
+                added &= ~plane
+                if not added:
+                    break
             if result == UNKNOWN:
-                frame[4] = UNKNOWN
-        v, avail, limit, c, status = stack[-1]
-        while c < limit and not avail >> c & 1:
-            c += 1
-        if c == limit:
+                frame[2] = UNKNOWN
+        frame = stack[-1]
+        avail = frame[1]
+        if not avail:
             stack.pop()
-            result = status
+            result = frame[2]
             continue
         nodes += 1
         if nodes > node_budget:
             stack.pop()
             result = UNKNOWN
             continue
-        stack[-1][3] = c + 1
-        assign(v, c)
-        usage[c] += 1
-        if usage[c] == 1:
+        if not nodes & 1023 and deadline is not None and time.monotonic() > deadline:
+            return ColoringOutcome(UNKNOWN, None, nodes)
+        bit = avail & -avail
+        c = bit.bit_length() - 1
+        v = frame[0]
+        frame[1] = avail ^ bit
+        frame[3] = c
+        free ^= 1 << v
+        added = masks[v] & ~near[c]
+        near[c] |= added
+        frame[4] = added
+        for i in bits:
+            plane = planes[i]
+            planes[i] = plane ^ added
+            added &= plane
+            if not added:
+                break
+        if c == used:
             used += 1
         result = None
-    return ColoringOutcome(result, found, nodes)
 
 
 @dataclass(frozen=True)
@@ -260,8 +274,11 @@ class EdgeColoringResult:
     nodes: int
 
 
-def edge_chromatic_exact(g: Graph, node_budget: int = DEFAULT_CHI_NODES) -> EdgeColoringResult | None:
-    """Exact chromatic index, or None when out of budget.
+def edge_chromatic_exact(
+    g: Graph, node_budget: int = DEFAULT_CHI_NODES, deadline: float | None = None
+) -> EdgeColoringResult | None:
+    """Exact chromatic index, or None when out of budget or past the
+    ``time.monotonic()`` deadline.
 
     Colours the shared-endpoint conflict graph, searching k upward from the
     max-degree bound so the first success is exact.
@@ -273,7 +290,7 @@ def edge_chromatic_exact(g: Graph, node_budget: int = DEFAULT_CHI_NODES) -> Edge
     masks = endpoint_conflict_masks(g)
     total = 0
     for k in range(max_degree(g), g.m + 1):
-        out = color_graph(masks, k, node_budget)
+        out = color_graph(masks, k, node_budget, deadline)
         total += out.nodes
         if out.status == FOUND:
             return EdgeColoringResult(k, out.colors, total)
@@ -295,12 +312,16 @@ class BoundCertificate:
     edge_coloring: tuple[int, ...] | None = None
 
 
-def lower_bound(g: Graph, chi_nodes: int = DEFAULT_CHI_NODES) -> BoundCertificate:
+def lower_bound(
+    g: Graph, chi_nodes: int = DEFAULT_CHI_NODES, deadline: float | None = None
+) -> BoundCertificate:
     """Best provable lower bound on the number of pages.
 
     The max degree always holds, the chromatic index refines it, and a
     regular graph containing an odd cycle cannot meet the max-degree bound
-    at all, which pushes the bound to max degree + 1.
+    at all, which pushes the bound to max degree + 1. A chromatic-index
+    search that runs out of nodes or past the deadline leaves the
+    max-degree bound.
     """
     if not is_connected(g):
         raise ValueError("lower_bound requires a connected graph")
@@ -311,7 +332,7 @@ def lower_bound(g: Graph, chi_nodes: int = DEFAULT_CHI_NODES) -> BoundCertificat
         return BoundCertificate(
             d + 1, "regular-nonbipartite", d, regular_degree=reg, odd_cycle=part.odd_cycle
         )
-    chi = edge_chromatic_exact(g, chi_nodes)
+    chi = edge_chromatic_exact(g, chi_nodes, deadline)
     if chi is not None and chi.value > d:
         return BoundCertificate(
             chi.value, "chromatic-index", d, chromatic_index=chi.value, edge_coloring=chi.coloring
@@ -366,7 +387,7 @@ def spine_orders(n: int, symmetry: bool = True):
 
 
 class _Timeout(Exception):
-    """The solve's deadline passed before a kernel call."""
+    """The solve's deadline passed before or during a kernel call."""
 
 
 class _PrefixSearch:
@@ -465,10 +486,13 @@ class _PrefixSearch:
         return larger * factorial(free - 1)
 
     def kernel(self, masks: list[int]) -> ColoringOutcome:
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        deadline = self.deadline
+        if deadline is not None and time.monotonic() > deadline:
             raise _Timeout
-        out = color_graph(masks, self.k, self.node_budget)
+        out = color_graph(masks, self.k, self.node_budget, deadline)
         self.nodes += out.nodes
+        if out.status == UNKNOWN and deadline is not None and time.monotonic() > deadline:
+            raise _Timeout
         return out
 
     def visit(self, state, out: ColoringOutcome | None):
@@ -588,7 +612,7 @@ def exact_mbt(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
         raise ValueError("exact_mbt requires a connected graph")
     start = time.monotonic()
     deadline = start + opts.timeout_s if opts.timeout_s is not None else None
-    cert = lower_bound(g, opts.chi_nodes)
+    cert = lower_bound(g, opts.chi_nodes, deadline)
     stats = SolveStats()
 
     id_spine = tuple(range(g.n))

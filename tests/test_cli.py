@@ -286,6 +286,17 @@ def test_boolean_spine_entry_is_usage_error(capsys, tmp_path):
     assert run(capsys, "verify", str(gp), str(ep))[0] == 2
 
 
+@pytest.mark.parametrize(
+    "family", [{"kind": "kpcq", "args": []}, {"kind": "cycle", "args": [3000]}]
+)
+def test_embed_rejects_false_family_tag(capsys, tmp_path, family):
+    gp = tmp_path / "g.json"
+    gp.write_text(json.dumps({"type": "graph", "n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "family": family}))
+    code, out, err = run(capsys, "embed", str(gp))
+    assert code == 2 and out == ""
+    assert err.startswith("format error: family") and len(err.strip().splitlines()) == 1
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     # the pool module is imported only when a solve runs with jobs > 1
     code = "import sys, matchbook.cli; print('concurrent.futures' in sys.modules)"

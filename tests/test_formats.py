@@ -175,3 +175,52 @@ def test_graph_rejects_boolean_family_arg():
         parse_graph_text(
             '{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "family": {"kind": "cycle", "args": [true]}}'
         )
+
+
+# a family tag is checked against the document before anything trusts it
+
+TRIANGLE = '{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "family": %s}'
+
+
+def test_graph_rejects_family_with_wrong_arity():
+    with pytest.raises(FormatError, match="kpcq takes 2 argument"):
+        parse_graph_text(TRIANGLE % '{"kind": "kpcq", "args": []}')
+
+
+def test_graph_rejects_family_of_another_size():
+    # rejected from the closed form, without building a 3,000-vertex cycle
+    with pytest.raises(FormatError, match=r"cycle\(3000\) does not match"):
+        parse_graph_text(TRIANGLE % '{"kind": "cycle", "args": [3000]}')
+    with pytest.raises(FormatError, match="does not match"):
+        parse_graph_text(TRIANGLE % '{"kind": "hypercube", "args": [1000000000000]}')
+
+
+def test_graph_rejects_family_with_other_edges():
+    # four vertices and four edges, like C4, but a triangle with a pendant
+    doc = {"n": 4, "edges": [[0, 1], [0, 2], [1, 2], [2, 3]], "family": {"kind": "cycle", "args": [4]}}
+    with pytest.raises(FormatError, match="edges differ"):
+        parse_graph_text(json.dumps(doc))
+    doc = graph_to_dict(cartesian_product(complete(3), path(3)))
+    doc["family"]["right"] = graph_to_dict(cycle(3))
+    with pytest.raises(FormatError, match="product does not match"):
+        parse_graph_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        '{"kind": "nosuch", "args": [3]}',
+        '{"kind": ["cycle"], "args": [3]}',
+        '{"kind": "cycle", "args": 3}',
+        '{"kind": "product"}',
+    ],
+)
+def test_graph_rejects_malformed_family(family):
+    with pytest.raises(FormatError):
+        parse_graph_text(TRIANGLE % family)
+
+
+def test_graph_rejects_family_outside_generator_domain():
+    # K0 has the size of the empty document, but the generator refuses it
+    with pytest.raises(FormatError, match=r"complete\(0\): complete graph needs p >= 1"):
+        parse_graph_text('{"n": 0, "edges": [], "family": {"kind": "complete", "args": [0]}}')

@@ -1,5 +1,8 @@
+import json
+import time
 from itertools import islice, permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -345,17 +348,22 @@ def recursive_color_graph(masks, k, node_budget=DEFAULT_ORDER_NODES):
 
 
 @given(
-    graphs(min_n=2, max_n=7),
-    st.integers(0, 5),
+    graphs(min_n=2, max_n=9),
+    st.integers(0, 9),
     st.integers(1, 60),
     st.randoms(use_true_random=False),
 )
 @settings(max_examples=150)
 def test_color_graph_matches_recursive_reference(g, k, budget, rnd):
+    # k up to 9 keeps saturations in four bit planes, with carries through
+    # all of them; a prefix's masks are the kernel's other kind of input
     spine = list(range(g.n))
     rnd.shuffle(spine)
-    for masks in (conflict_masks(g, tuple(spine)), endpoint_conflict_masks(g)):
-        for b in (budget, DEFAULT_ORDER_NODES):
+    prefix = spine[: rnd.randint(0, g.n)]
+    # the reference pays O(m) per node, so complete searches stay at n <= 7
+    large = DEFAULT_ORDER_NODES if g.n <= 7 else 5_000
+    for masks in (conflict_masks(g, tuple(spine)), endpoint_conflict_masks(g), replay(g, prefix)):
+        for b in (budget, large):
             out = color_graph(masks, k, b)
             assert (out.status, out.colors, out.nodes) == recursive_color_graph(masks, k, b)
 
@@ -366,6 +374,60 @@ def test_color_graph_depth_beyond_recursion_limit():
     out = feasible_pages(emb.graph, emb.spine, 12)
     assert out.status == FOUND
     assert max(out.pages) + 1 == 12 and validate_pages(emb.graph, emb.spine, out.pages)
+
+
+def test_color_graph_snake_spine_m2520():
+    emb = kpcq_embedding(15, 21).embedding
+    out = feasible_pages(emb.graph, emb.spine, 17)
+    assert out.status == FOUND
+    assert max(out.pages) + 1 == 17 and validate_pages(emb.graph, emb.spine, out.pages)
+
+
+def test_color_graph_stops_at_deadline():
+    # K9-e is not 8-edge-colourable, and refuting that takes millions of
+    # nodes; a passed deadline stops the search at the first check
+    masks = endpoint_conflict_masks(delete_edge(complete(9), (0, 1)))
+    out = color_graph(masks, 8, DEFAULT_ORDER_NODES, time.monotonic() - 1)
+    assert (out.status, out.colors, out.nodes) == (UNKNOWN, None, 1024)
+    assert color_graph(masks, 9, DEFAULT_ORDER_NODES, time.monotonic() - 1).status == FOUND
+
+
+def test_timeout_bounds_the_lower_bound():
+    g = delete_edge(complete(9), (0, 1))
+    start = time.monotonic()
+    res = exact_mbt(g, SolveOptions(timeout_s=1))
+    assert time.monotonic() - start < 5
+    assert res.stats.timed_out and not res.exhaustive
+    # out of time, the chromatic-index search leaves the max-degree bound
+    assert res.bound.reason == "max-degree" and res.bound.value == 8
+    assert res.value == res.witness.page_count and validate(res.witness).valid
+
+
+def _corpus_graph(name):
+    corpus = json.loads((Path(__file__).parent.parent / "perfbench" / "corpus.json").read_text())
+    entry = next(e for entries in corpus.values() for e in entries if e["name"] == name)
+    return Graph(entry["n"], tuple(map(tuple, entry["edges"])))
+
+
+# value, nodes, orders, per-level orders and witness spine of exact_mbt on
+# committed corpus graphs; any change to the branching of the kernel or of
+# the prefix search moves the node or order counts
+GOLDEN = {
+    "R7-267": (5, 8810, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6)),
+    "K6-e": (6, 292, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5)),
+    "Q3": (3, 78, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7)),
+    "Petersen": (4, 144, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8)),
+    "K3xC3": (5, 143, 2, {5: 2}, (0, 1, 2, 3, 4, 5, 6, 8, 7)),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_exact_mbt_golden_counters(name, jobs):
+    res = exact_mbt(_corpus_graph(name), SolveOptions(jobs=jobs))
+    s = res.stats
+    assert (res.value, s.nodes, s.orders_tested, s.per_level, res.witness.spine) == GOLDEN[name]
+    assert res.exhaustive and validate(res.witness).valid
 
 
 def replay(g, spine, symmetry=False):
