@@ -2,11 +2,10 @@
 """Sweep the K_p x C_q construction grid and report page counts.
 
 Every instance must come out validator-clean with exactly max degree + 1
-pages; the table records which scheme ran and whether the fixed-spine page
-repair was ever needed (it is not expected to be).
+pages; the table records which scheme ran.
 
 Usage:
-  python3 scripts/grid_sweep.py --pmin 4 --pmax 8 --qmin 3 --qmax 8
+  python3 scripts/grid_sweep.py --pmin 3 --pmax 8 --qmin 3 --qmax 8
 """
 
 from __future__ import annotations
@@ -22,13 +21,13 @@ from matchbook.layout import validate
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--pmin", type=int, default=4)
+    ap.add_argument("--pmin", type=int, default=3)
     ap.add_argument("--pmax", type=int, default=8)
     ap.add_argument("--qmin", type=int, default=3)
     ap.add_argument("--qmax", type=int, default=8)
     args = ap.parse_args()
 
-    print(f"{'p':>3} {'q':>3} {'pages':>6} {'delta+1':>8} {'valid':>6} {'repaired':>9}  scheme")
+    print(f"{'p':>3} {'q':>3} {'pages':>6} {'delta+1':>8} {'valid':>6}  scheme")
     failures = 0
     t0 = time.perf_counter()
     for p in range(args.pmin, args.pmax + 1):
@@ -40,7 +39,7 @@ def main() -> int:
             failures += 0 if ok else 1
             print(
                 f"{p:>3} {q:>3} {out.embedding.page_count:>6} {target:>8}"
-                f" {str(rep.valid):>6} {str(out.repaired):>9}  {out.scheme}"
+                f" {str(rep.valid):>6}  {out.scheme}"
             )
     print(f"done in {time.perf_counter() - t0:.2f}s, failures: {failures}")
     return 1 if failures else 0

@@ -14,9 +14,9 @@ from .constructions import (
     DispersableWitness,
     auto_embedding,
     complete_embedding,
+    construct,
     even_cycle_embedding,
     kpcq_embedding,
-    kpcq_odd_embedding,
     make_witness,
     path_witness,
     product_embedding,

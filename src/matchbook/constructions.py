@@ -4,12 +4,14 @@ Covers complete graphs (congruence pages: edge (a, b) on page (a+b) mod p
 gives parallel, noncrossing chords), dispersable witnesses for paths and
 even cycles, the block-copy product construction, and a direct snake-grid
 scheme that embeds a complete graph stacked over an odd cycle in exactly
-max degree + 1 pages. Every constructor validates its output before
-returning it.
+max degree + 1 pages. ``SCHEMES`` is the one table of schemes, and every
+embedding is validated once in ``construct`` before it is returned; the
+constructors themselves check only the embeddings a caller hands them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import solver
@@ -23,7 +25,7 @@ from .graphs import (
     max_degree,
     path,
 )
-from .layout import BookEmbedding, ValidationReport, validate
+from .layout import BookEmbedding, MalformedEmbeddingError, ValidationReport, validate
 
 SCHEME_COMPLETE = "complete-congruence"
 SCHEME_EVEN_CYCLE = "even-cycle"
@@ -32,8 +34,6 @@ SCHEME_PRODUCT = "product-lemma2.5"
 SCHEME_KPCQ_ODD = "kpcq-odd-direct"
 SCHEME_KPCQ_EVEN = "kpcq-even-product"
 SCHEME_SOLVER = "solver"
-
-REPAIR_NODES = 20_000_000  # fixed-spine page repair; roughly a minute
 
 
 class ConstructionError(RuntimeError):
@@ -46,10 +46,6 @@ class ConstructionError(RuntimeError):
 
 class ConstructionUnresolved(Exception):
     """No proven construction applies; the exact solver is the way forward."""
-
-    def __init__(self, message: str, report: ValidationReport | None = None):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -66,14 +62,6 @@ class DispersableWitness:
 class ConstructionOutcome:
     embedding: BookEmbedding
     scheme: str
-    repaired: bool = False
-
-
-def _checked(emb: BookEmbedding, what: str) -> BookEmbedding:
-    rep = validate(emb)
-    if not rep.valid:
-        raise ConstructionError(f"{what} produced {len(rep.violations)} violations", rep)
-    return emb
 
 
 def _normalized_pages(edges, raw: dict) -> tuple[tuple[int, ...], int]:
@@ -93,8 +81,7 @@ def complete_embedding(p: int) -> BookEmbedding:
     g = complete(p)
     raw = {e: (e[0] + e[1]) % p for e in g.edges}
     pages, count = _normalized_pages(g.edges, raw)
-    emb = BookEmbedding(g, tuple(range(p)), pages, count)
-    return _checked(emb, "congruence scheme")
+    return BookEmbedding(g, tuple(range(p)), pages, count)
 
 
 def even_cycle_embedding(m: int) -> DispersableWitness:
@@ -109,7 +96,7 @@ def even_cycle_embedding(m: int) -> DispersableWitness:
         else:
             raw[(u, v)] = u % 2
     pages = tuple(raw[e] for e in g.edges)
-    emb = _checked(BookEmbedding(g, tuple(range(2 * m)), pages, 2), "even cycle scheme")
+    emb = BookEmbedding(g, tuple(range(2 * m)), pages, 2)
     return DispersableWitness(emb, tuple(v % 2 for v in range(2 * m)))
 
 
@@ -119,7 +106,7 @@ def path_witness(n: int) -> DispersableWitness:
         raise ValueError("path witness needs n >= 2")
     g = path(n)
     pages = tuple(u % 2 for u, _ in g.edges)
-    emb = _checked(BookEmbedding(g, tuple(range(n)), pages, 1 if n == 2 else 2), "path scheme")
+    emb = BookEmbedding(g, tuple(range(n)), pages, 1 if n == 2 else 2)
     return DispersableWitness(emb, tuple(v % 2 for v in range(n)))
 
 
@@ -140,10 +127,6 @@ def make_witness(emb: BookEmbedding, coloring) -> DispersableWitness:
     return DispersableWitness(emb, coloring)
 
 
-def _check_witness(wit: DispersableWitness) -> None:
-    make_witness(wit.embedding, wit.coloring)
-
-
 def product_embedding(g_emb: BookEmbedding, b_wit: DispersableWitness) -> BookEmbedding:
     """Embed the product of G and a dispersable bipartite B.
 
@@ -156,7 +139,7 @@ def product_embedding(g_emb: BookEmbedding, b_wit: DispersableWitness) -> BookEm
     grep = validate(g_emb)
     if not grep.valid:
         raise ValueError("left embedding is not a valid matching book embedding")
-    _check_witness(b_wit)
+    make_witness(b_wit.embedding, b_wit.coloring)
     gg, bb = g_emb.graph, b_wit.embedding.graph
     prod = cartesian_product(gg, bb)
     ng = gg.n
@@ -176,11 +159,7 @@ def product_embedding(g_emb: BookEmbedding, b_wit: DispersableWitness) -> BookEm
             page_of[(b1 * ng + x, b2 * ng + x)] = base + pc
 
     pages = tuple(page_of[e] for e in prod.edges)
-    emb = BookEmbedding(prod, tuple(spine), pages, base + b_wit.embedding.page_count)
-    rep = validate(emb)
-    if not rep.valid:
-        raise ConstructionError("product construction produced violations", rep)
-    return emb
+    return BookEmbedding(prod, tuple(spine), pages, base + b_wit.embedding.page_count)
 
 
 # direct scheme for a complete graph stacked over an odd cycle
@@ -219,62 +198,21 @@ def _direct_page(p: int, q: int, u: int, v: int) -> int:
     return ru
 
 
-def _direct_embedding(p: int, q: int) -> BookEmbedding:
-    g = kpcq(p, q)
-    pages = tuple(_direct_page(p, q, u, v) for u, v in g.edges)
-    return BookEmbedding(g, _snake_spine(p, q), pages, p + 2)
-
-
-def _kpcq_direct(p: int, q: int, repair_nodes: int) -> ConstructionOutcome:
-    emb = _direct_embedding(p, q)
-    rep = validate(emb)
-    if rep.valid:
-        return ConstructionOutcome(emb, SCHEME_KPCQ_ODD, repaired=False)
-    # scheme misfired somewhere: keep the spine, rebuild pages by search
-    search = solver.feasible_pages(emb.graph, emb.spine, p + 2, repair_nodes)
-    if search.status == solver.FOUND:
-        fixed = BookEmbedding(emb.graph, emb.spine, search.pages, max(search.pages) + 1)
-        if validate(fixed).valid:
-            return ConstructionOutcome(fixed, SCHEME_KPCQ_ODD, repaired=True)
-    raise ConstructionError(
-        f"direct scheme invalid for p={p}, q={q} and page repair failed", rep
-    )
-
-
-def kpcq_odd_embedding(p: int, m: int, repair_nodes: int = REPAIR_NODES) -> ConstructionOutcome:
-    """Direct snake-grid embedding of K_p over C_{2m+1} in p+2 pages."""
-    if p < 4:
-        raise ValueError("direct scheme is exposed for p >= 4")
-    if m < 1:
-        raise ValueError("m >= 1 required")
-    return _kpcq_direct(p, 2 * m + 1, repair_nodes)
-
-
-def kpcq_embedding(p: int, q: int, repair_nodes: int = REPAIR_NODES) -> ConstructionOutcome:
+def kpcq_embedding(p: int, q: int) -> ConstructionOutcome:
     """Max-degree-plus-one embedding of K_p over C_q, dispatching on parity.
 
     Even cycles are dispersable, so even q goes through the product
     construction on top of the congruence embedding; odd q uses the direct
-    snake scheme. For p = 3 with odd q the direct scheme is attempted and
-    validated; if both it and the fixed-spine repair fail, the outcome is
-    reported unresolved so the caller can fall back to the exact solver.
+    snake scheme.
     """
     if p < 3 or q < 3:
         raise ValueError("p >= 3 and q >= 3 required")
     if q % 2 == 0:
         emb = product_embedding(complete_embedding(p), even_cycle_embedding(q // 2))
-        target = kpcq(p, q)
-        assert emb.graph == target
-        return ConstructionOutcome(replace(emb, graph=target), SCHEME_KPCQ_EVEN, repaired=False)
-    try:
-        return _kpcq_direct(p, q, repair_nodes)
-    except ConstructionError as exc:
-        if p == 3:
-            raise ConstructionUnresolved(
-                f"no proven construction for p=3, q={q}; exact search required",
-                exc.report,
-            ) from exc
-        raise
+        return ConstructionOutcome(replace(emb, graph=kpcq(p, q)), SCHEME_KPCQ_EVEN)
+    g = kpcq(p, q)
+    pages = tuple(_direct_page(p, q, u, v) for u, v in g.edges)
+    return ConstructionOutcome(BookEmbedding(g, _snake_spine(p, q), pages, p + 2), SCHEME_KPCQ_ODD)
 
 
 def witness_for(b: Graph, opts: solver.SolveOptions | None = None) -> DispersableWitness | None:
@@ -298,28 +236,77 @@ def witness_for(b: Graph, opts: solver.SolveOptions | None = None) -> Dispersabl
     return None
 
 
-def auto_embedding(g: Graph, opts: solver.SolveOptions | None = None) -> ConstructionOutcome:
-    """Family-recognised construction when one applies, else exact search."""
-    fam = g.family
-    kind = fam[0] if fam else None
-    if kind == "complete":
-        return ConstructionOutcome(complete_embedding(fam[1]), SCHEME_COMPLETE, False)
-    if kind == "cycle" and fam[1] % 2 == 0:
-        return ConstructionOutcome(even_cycle_embedding(fam[1] // 2).embedding, SCHEME_EVEN_CYCLE, False)
-    if kind == "path" and fam[1] >= 2:
-        return ConstructionOutcome(path_witness(fam[1]).embedding, SCHEME_PATH, False)
-    if kind == "kpcq":
-        return kpcq_embedding(fam[1], fam[2])
-    if kind == "product":
-        left, right = fam[1], fam[2]
-        if cartesian_product(left, right) == g:
-            wit = witness_for(right, opts)
-            if wit is not None:
-                g_out = auto_embedding(left, opts)
-                emb = product_embedding(g_out.embedding, wit)
-                assert emb.graph == g
-                return ConstructionOutcome(replace(emb, graph=g), SCHEME_PRODUCT, g_out.repaired)
+def _product(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
+    _, left, right = g.family
+    wit = witness_for(right, opts)
+    if wit is None:
+        raise ConstructionUnresolved("right factor admits no dispersable witness")
+    emb = product_embedding(auto_embedding(left, opts).embedding, wit)
+    # product_embedding names the product after its factors' embedded graphs;
+    # the result keeps g's own name and tag unless it embeds another graph
+    return replace(emb, graph=g) if emb.graph == g else emb
+
+
+def _kpcq(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
+    return kpcq_embedding(*g.family[1:]).embedding
+
+
+def _solve(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
     res = solver.exact_mbt(g, opts)
     if res.value is None or res.witness is None:
         raise ConstructionError("exact search did not produce an embedding")
-    return ConstructionOutcome(res.witness, SCHEME_SOLVER, False)
+    return res.witness
+
+
+def _family(kind: str, test: Callable[..., bool] = lambda *args: True) -> Callable:
+    return lambda fam: fam is not None and fam[0] == kind and test(*fam[1:])
+
+
+# scheme -> (applies to a family tag, builder); "auto" takes the first that applies
+SCHEMES = {
+    SCHEME_COMPLETE: (_family("complete"), lambda g, opts: complete_embedding(g.family[1])),
+    SCHEME_EVEN_CYCLE: (
+        _family("cycle", lambda q: q % 2 == 0),
+        lambda g, opts: even_cycle_embedding(g.family[1] // 2).embedding,
+    ),
+    SCHEME_PATH: (_family("path", lambda n: n >= 2), lambda g, opts: path_witness(g.family[1]).embedding),
+    SCHEME_KPCQ_ODD: (_family("kpcq", lambda p, q: q % 2 == 1), _kpcq),
+    SCHEME_KPCQ_EVEN: (_family("kpcq", lambda p, q: q % 2 == 0), _kpcq),
+    SCHEME_PRODUCT: (_family("product"), _product),
+    SCHEME_SOLVER: (lambda fam: True, _solve),
+}
+
+
+def construct(g: Graph, scheme: str, opts: solver.SolveOptions | None = None) -> ConstructionOutcome:
+    """Embed g by the named scheme, or by the first that applies for "auto".
+
+    The result is checked to embed g itself and to pass ``validate``;
+    either failure is a ConstructionError. Under "auto" a scheme that
+    cannot resolve g falls through to the exact solver.
+    """
+    if scheme == "auto":
+        scheme = next(name for name, (applies, _) in SCHEMES.items() if applies(g.family))
+        try:
+            emb = SCHEMES[scheme][1](g, opts)
+        except ConstructionUnresolved:
+            scheme, emb = SCHEME_SOLVER, _solve(g, opts)
+    elif scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; known: auto, {', '.join(SCHEMES)}")
+    elif not SCHEMES[scheme][0](g.family):
+        raise ValueError(f"scheme {scheme} does not apply to {g.name}")
+    else:
+        emb = SCHEMES[scheme][1](g, opts)
+    if emb.graph != g:
+        raise ConstructionError(f"scheme {scheme} embedded a different graph than {g.name}")
+    try:
+        rep = validate(emb)
+    except MalformedEmbeddingError as exc:
+        raise ConstructionError(f"scheme {scheme} produced a malformed embedding: {exc}") from None
+    if not rep.valid:
+        raise ConstructionError(f"scheme {scheme} produced {len(rep.violations)} violations", rep)
+    return ConstructionOutcome(emb, scheme)
+
+
+def auto_embedding(g: Graph, opts: solver.SolveOptions | None = None) -> ConstructionOutcome:
+    """Family-recognised construction when one applies, else exact search."""
+    return construct(g, "auto", opts)

@@ -153,12 +153,9 @@ def parse_graph_dict(doc) -> Graph:
 class EmbeddingDocument:
     embedding: BookEmbedding
     scheme: str | None = None
-    repaired: bool | None = None
 
 
-def embedding_to_dict(
-    emb: BookEmbedding, scheme: str | None = None, repaired: bool | None = None
-) -> dict:
+def embedding_to_dict(emb: BookEmbedding, scheme: str | None = None) -> dict:
     doc = {
         "type": "embedding",
         "graph": graph_to_dict(emb.graph),
@@ -168,8 +165,6 @@ def embedding_to_dict(
     }
     if scheme is not None:
         doc["scheme"] = scheme
-    if repaired is not None:
-        doc["repaired"] = repaired
     return doc
 
 
@@ -177,38 +172,22 @@ def parse_embedding_dict(doc) -> EmbeddingDocument:
     if not isinstance(doc, dict):
         raise FormatError("embedding document must be a JSON object")
     g = parse_graph_dict(doc.get("graph"))
-    spine = doc.get("spine")
-    if not (isinstance(spine, list) and all(_is_int(x) for x in spine)):
-        raise FormatError("field 'spine' must be a list of integers")
-    if sorted(spine) != list(range(g.n)):
-        raise FormatError("spine is not a permutation of 0..n-1")
-    pages = doc.get("pages")
-    if not (isinstance(pages, list) and all(_is_int(x) for x in pages)):
-        raise FormatError("field 'pages' must be a list of integers")
-    if len(pages) != g.m:
-        raise FormatError(f"pages has {len(pages)} entries for {g.m} edges")
+    spine, pages = doc.get("spine"), doc.get("pages")
+    for key, value in (("spine", spine), ("pages", pages)):
+        if not (isinstance(value, list) and all(_is_int(x) for x in value)):
+            raise FormatError(f"field '{key}' must be a list of integers")
     page_count = doc.get("page_count")
     if not _is_int(page_count):
         raise FormatError("field 'page_count' must be an integer")
-    if any(p < 0 or p >= page_count for p in pages):
-        raise FormatError("page index out of range 0..page_count-1")
-    expected = max(pages) + 1 if pages else 0
-    if page_count != expected:
-        raise FormatError(
-            f"page indices not contiguous: page_count {page_count}, expected {expected}"
-        )
     scheme = doc.get("scheme")
     if scheme is not None and not isinstance(scheme, str):
         raise FormatError("field 'scheme' must be a string")
-    repaired = doc.get("repaired")
-    if repaired is not None and not isinstance(repaired, bool):
-        raise FormatError("field 'repaired' must be a boolean")
     emb = BookEmbedding(g, tuple(spine), tuple(pages), page_count)
     try:
         check_structure(emb)
-    except MalformedEmbeddingError as exc:  # belt and braces
+    except MalformedEmbeddingError as exc:
         raise FormatError(str(exc)) from None
-    return EmbeddingDocument(emb, scheme, repaired)
+    return EmbeddingDocument(emb, scheme)
 
 
 def dumps(doc: dict) -> str:
@@ -242,7 +221,5 @@ def save_graph(g: Graph, path: str | Path) -> None:
     Path(path).write_text(dumps(graph_to_dict(g)))
 
 
-def save_embedding(
-    emb: BookEmbedding, path: str | Path, scheme: str | None = None, repaired: bool | None = None
-) -> None:
-    Path(path).write_text(dumps(embedding_to_dict(emb, scheme, repaired)))
+def save_embedding(emb: BookEmbedding, path: str | Path, scheme: str | None = None) -> None:
+    Path(path).write_text(dumps(embedding_to_dict(emb, scheme)))

@@ -71,7 +71,7 @@ class ValidationReport:
 def check_structure(emb: BookEmbedding) -> None:
     """Raise MalformedEmbeddingError unless the embedding is well formed."""
     g = emb.graph
-    if sorted(emb.spine) != list(range(g.n)):
+    if len(emb.spine) != g.n or sorted(emb.spine) != list(range(g.n)):
         raise MalformedEmbeddingError("spine is not a permutation of 0..n-1")
     if len(emb.pages) != g.m:
         raise MalformedEmbeddingError(

@@ -8,7 +8,7 @@ import pytest
 
 import matchbook
 from matchbook.cli import main
-from matchbook.constructions import complete_embedding
+from matchbook.constructions import complete_embedding, kpcq_embedding
 from matchbook.formats import (
     dumps,
     embedding_to_dict,
@@ -18,7 +18,7 @@ from matchbook.formats import (
     save_graph,
 )
 from matchbook.graphs import complete, cycle, delete_edge, kpcq, path
-from matchbook.layout import BookEmbedding
+from matchbook.layout import BookEmbedding, validate
 
 
 def run(capsys, *args):
@@ -112,6 +112,54 @@ def test_embed_scheme_family_mismatch(capsys, tmp_path):
     save_graph(cycle(5), gp)
     code, _, _ = run(capsys, "embed", str(gp), "--method", "construction:even-cycle")
     assert code == 2
+
+
+def test_embed_unknown_scheme_is_usage_error(capsys, tmp_path):
+    gp = tmp_path / "c5.json"
+    save_graph(cycle(5), gp)
+    code, out, err = run(capsys, "embed", str(gp), "--method", "construction:nosuch")
+    assert code == 2 and out == ""
+    assert "known: auto, complete-congruence" in err
+
+
+@pytest.mark.parametrize(
+    "g, method",
+    [
+        (complete(5), "auto"),
+        (cycle(6), "auto"),
+        (path(4), "auto"),
+        (kpcq(5, 3), "auto"),
+        (kpcq(3, 5), "construction:kpcq-odd-direct"),
+        (cycle(5), "auto"),
+        (complete(4), "solver"),
+    ],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_embed_validates_once(capsys, tmp_path, monkeypatch, g, method):
+    calls = []
+
+    def counting(emb):
+        calls.append(emb.graph.name)
+        return validate(emb)
+
+    for mod in ("layout", "constructions", "cli"):
+        monkeypatch.setattr(f"matchbook.{mod}.validate", counting)
+    gp = tmp_path / "g.json"
+    save_graph(g, gp)
+    assert run(capsys, "embed", str(gp), "--method", method)[0] == 0
+    assert len(calls) == 1
+
+
+def test_embedding_file_with_repaired_key_still_verifies(capsys, tmp_path):
+    # files written before the fixed-spine repair was removed carry "repaired"
+    gp, ep = tmp_path / "g.json", tmp_path / "e.json"
+    save_graph(kpcq(5, 3), gp)
+    emb = kpcq_embedding(5, 3).embedding
+    ep.write_text(dumps({**embedding_to_dict(emb, "kpcq-odd-direct"), "repaired": False}))
+    doc = load_embedding(ep)
+    assert doc.scheme == "kpcq-odd-direct" and doc.embedding == emb
+    code, out, _ = run(capsys, "verify", str(gp), str(ep))
+    assert code == 0 and json.loads(out)["valid"]
 
 
 def test_verify_detects_crossing(capsys, tmp_path):

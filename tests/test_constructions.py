@@ -5,20 +5,19 @@ import pytest
 from matchbook import constructions as cons
 from matchbook.constructions import (
     ConstructionError,
-    ConstructionOutcome,
-    ConstructionUnresolved,
     DispersableWitness,
     auto_embedding,
     complete_embedding,
+    construct,
     even_cycle_embedding,
     kpcq_embedding,
-    kpcq_odd_embedding,
     make_witness,
     path_witness,
     product_embedding,
     witness_for,
 )
 from matchbook.graphs import (
+    Graph,
     complete,
     complete_bipartite,
     cycle,
@@ -146,20 +145,18 @@ def test_product_rejects_invalid_inputs():
 
 
 def test_kpcq_direct_cases():
-    out = kpcq_odd_embedding(5, 1)
+    out = kpcq_embedding(5, 3)
     assert out.embedding.page_count == 7 and validate(out.embedding).valid
-    assert out.scheme == cons.SCHEME_KPCQ_ODD and not out.repaired
+    assert out.scheme == cons.SCHEME_KPCQ_ODD
 
-    out = kpcq_odd_embedding(6, 1)
+    out = kpcq_embedding(6, 3)
     assert out.embedding.page_count == 8 and validate(out.embedding).valid
 
-    out = kpcq_odd_embedding(5, 2)
+    out = kpcq_embedding(5, 5)
     assert out.embedding.page_count == 7 and validate(out.embedding).valid
 
     with pytest.raises(ValueError):
-        kpcq_odd_embedding(3, 1)
-    with pytest.raises(ValueError):
-        kpcq_odd_embedding(5, 0)
+        kpcq_embedding(5, 1)
 
 
 def test_kpcq_dispatcher():
@@ -181,40 +178,52 @@ def test_kpcq_grid(p, q):
     assert rep.valid
     assert out.embedding.page_count == p + 2 == max_degree(out.embedding.graph) + 1
     if q % 2 == 0:
-        assert out.scheme == cons.SCHEME_KPCQ_EVEN and not out.repaired
+        assert out.scheme == cons.SCHEME_KPCQ_EVEN
     else:
         assert out.scheme == cons.SCHEME_KPCQ_ODD
-        assert not out.repaired  # scheme pages validate as derived
 
 
-def test_kpcq_repair_path(monkeypatch):
-    # force the direct scheme to emit garbage pages; the fixed-spine repair
-    # must still find a p+2 assignment on the snake spine
-    real = cons._direct_embedding
-
-    def broken(p, q):
-        emb = real(p, q)
-        return BookEmbedding(emb.graph, emb.spine, tuple(0 for _ in emb.pages), 1)
-
-    monkeypatch.setattr(cons, "_direct_embedding", broken)
-    out = kpcq_odd_embedding(4, 1)
-    assert out.repaired
-    assert validate(out.embedding).valid
-    assert out.embedding.page_count == 6
+def test_kpcq_direct_scheme_wide_grid():
+    # the snake scheme alone meets the max degree + 1 bound, p = 3 included
+    for p in range(3, 16):
+        for q in range(3, 22, 2):
+            out = kpcq_embedding(p, q)
+            assert out.scheme == cons.SCHEME_KPCQ_ODD
+            assert out.embedding.page_count == p + 2
+            assert validate(out.embedding).valid, (p, q)
 
 
-def test_kpcq_unresolved_path(monkeypatch):
-    real = cons._direct_embedding
+def test_misfiring_scheme_is_caught_at_the_validation_point(monkeypatch):
+    # every edge on page 0 of p + 2 declared pages: malformed, not merely invalid
+    monkeypatch.setattr(cons, "_direct_page", lambda p, q, u, v: 0)
+    with pytest.raises(ConstructionError, match="kpcq-odd-direct produced a malformed"):
+        auto_embedding(kpcq(5, 3))
+    # well formed but crossing: the error carries the validator's report
+    monkeypatch.setattr(cons, "_direct_page", lambda p, q, u, v: (u + v) % (p + 2))
+    with pytest.raises(ConstructionError, match="kpcq-odd-direct produced .* violations") as info:
+        auto_embedding(kpcq(5, 3))
+    assert info.value.report is not None and not info.value.report.valid
 
-    def broken(p, q):
-        emb = real(p, q)
-        return BookEmbedding(emb.graph, emb.spine, tuple(0 for _ in emb.pages), 1)
 
-    monkeypatch.setattr(cons, "_direct_embedding", broken)
-    with pytest.raises(ConstructionUnresolved):
-        kpcq_embedding(3, 3, repair_nodes=1)
-    with pytest.raises(ConstructionError):
-        kpcq_embedding(5, 3, repair_nodes=1)
+@pytest.mark.parametrize(
+    "g",
+    [
+        # K3 tagged as K4 x C3 would get a valid 12-vertex embedding of K4 x C3
+        Graph(3, ((0, 1), (0, 2), (1, 2)), family=("kpcq", 4, 3)),
+        Graph(4, path(4).edges, family=("complete", 4)),
+    ],
+)
+def test_false_family_tag_is_a_construction_error(g):
+    with pytest.raises(ConstructionError, match="different graph"):
+        auto_embedding(g)
+
+
+def test_construct_rejects_unknown_or_inapplicable_scheme():
+    with pytest.raises(ValueError, match="known: auto, complete-congruence, even-cycle"):
+        construct(cycle(5), "nosuch")
+    with pytest.raises(ValueError, match="even-cycle does not apply"):
+        construct(cycle(5), "even-cycle")
+    assert construct(cycle(6), "even-cycle").embedding.page_count == 2
 
 
 def test_witness_for():

@@ -1,7 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from matchbook.cli import main
 from matchbook.constructions import complete_embedding, kpcq_embedding
 from matchbook.formats import (
     FormatError,
@@ -10,7 +18,9 @@ from matchbook.formats import (
     graph_to_dict,
     load_embedding,
     load_graph,
+    parse_embedding_dict,
     parse_embedding_text,
+    parse_graph_dict,
     parse_graph_text,
     save_embedding,
     save_graph,
@@ -66,10 +76,10 @@ def test_kpcq_file_carries_label_table():
 def test_embedding_round_trip(tmp_path):
     emb = complete_embedding(5)
     p = tmp_path / "e.json"
-    save_embedding(emb, p, scheme="complete-congruence", repaired=False)
+    save_embedding(emb, p, scheme="complete-congruence")
     doc = load_embedding(p)
     assert doc.embedding == emb
-    assert doc.scheme == "complete-congruence" and doc.repaired is False
+    assert doc.scheme == "complete-congruence"
 
 
 def test_embedding_round_trip_product_graph(tmp_path):
@@ -224,3 +234,91 @@ def test_graph_rejects_family_outside_generator_domain():
     # K0 has the size of the empty document, but the generator refuses it
     with pytest.raises(FormatError, match=r"complete\(0\): complete graph needs p >= 1"):
         parse_graph_text('{"n": 0, "edges": [], "family": {"kind": "complete", "args": [0]}}')
+
+
+# parser fuzzing: anything that is not a well-formed document is a FormatError
+
+FIELDS = ["n", "edges", "name", "family", "kind", "args", "left", "right", "graph", "spine", "pages", "page_count", "scheme"]
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**64), 2**64)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+GRAPH_DOCS = [graph_to_dict(g) for g in (cycle(4), kpcq(3, 3), cartesian_product(complete(2), path(2)))]
+EMBEDDING_DOCS = [
+    embedding_to_dict(complete_embedding(3), "complete-congruence"),
+    embedding_to_dict(kpcq_embedding(3, 3).embedding, "kpcq-odd-direct"),
+]
+
+
+@st.composite
+def mutated(draw, bases):
+    """A valid document with one to three values replaced or deleted at any depth."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(JSON)
+            break
+    return doc
+
+
+def _format_error(parse, doc) -> bool:
+    """True when parse rejects doc; any exception but FormatError escapes."""
+    try:
+        parse(doc)
+    except FormatError:
+        return True
+    return False
+
+
+def _cli_rejects(*argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 2 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("format error: "), lines
+
+
+@given(doc=JSON | mutated(GRAPH_DOCS))
+def test_graph_parser_raises_only_format_error(doc):
+    if _format_error(parse_graph_dict, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            gp, ep = Path(tmp, "g.json"), Path(tmp, "e.json")
+            gp.write_text(json.dumps(doc))
+            save_embedding(complete_embedding(3), ep)
+            _cli_rejects("embed", str(gp))
+            _cli_rejects("verify", str(gp), str(ep))
+
+
+@given(doc=JSON | mutated(EMBEDDING_DOCS))
+def test_embedding_parser_raises_only_format_error(doc):
+    if _format_error(parse_embedding_dict, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            gp, ep = Path(tmp, "g.json"), Path(tmp, "e.json")
+            save_graph(complete(3), gp)
+            ep.write_text(json.dumps(doc))
+            _cli_rejects("verify", str(gp), str(ep))
+
+
+def test_embedding_of_a_huge_graph_is_rejected_by_spine_length():
+    # the permutation check must not build range(n) for a claimed n; for
+    # n >= 2**63 that was an OverflowError, not a FormatError
+    doc = {"graph": {"n": 2**64, "edges": []}, "spine": [], "pages": [], "page_count": 0}
+    with pytest.raises(FormatError, match="not a permutation"):
+        parse_embedding_dict(doc)
