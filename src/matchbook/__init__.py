@@ -49,7 +49,6 @@ from .layout import (
     MalformedEmbeddingError,
     MatchingViolation,
     ValidationReport,
-    edges_cross,
     reflect_spine,
     rotate_spine,
     validate,
@@ -60,7 +59,6 @@ from .solver import (
     SolveResult,
     edge_chromatic_exact,
     exact_mbt,
-    feasible_pages,
     lower_bound,
 )
 

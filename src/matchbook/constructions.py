@@ -21,6 +21,7 @@ from .graphs import (
     cartesian_product,
     complete,
     cycle,
+    is_connected,
     kpcq,
     max_degree,
     path,
@@ -282,8 +283,11 @@ def construct(g: Graph, scheme: str, opts: solver.SolveOptions | None = None) ->
 
     The result is checked to embed g itself and to pass ``validate``;
     either failure is a ConstructionError. Under "auto" a scheme that
-    cannot resolve g falls through to the exact solver.
+    cannot resolve g falls through to the exact solver. A disconnected g
+    is a ValueError before any scheme runs.
     """
+    if not is_connected(g):
+        raise ValueError(f"{g.name} is not connected; an embedding requires a connected graph")
     if scheme == "auto":
         scheme = next(name for name, (applies, _) in SCHEMES.items() if applies(g.family))
         try:

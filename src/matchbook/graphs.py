@@ -114,6 +114,9 @@ def is_regular(g: Graph) -> int | None:
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
+    if g.m < g.n - 1:
+        # too few edges for a spanning tree, decided without O(n) work
+        return False
     adj = adjacency(g)
     seen = [False] * g.n
     seen[0] = True
@@ -240,12 +243,10 @@ def cartesian_product(g: Graph, b: Graph) -> Graph:
     block of ids holding a full copy of the left factor."""
     if g.n == 0 or b.n == 0:
         raise ValueError("product factors must be nonempty")
-    edges: list[Edge] = []
-    for j in range(b.n):
-        base = j * g.n
-        edges.extend((base + u, base + v) for u, v in g.edges)
-    for j, k in b.edges:
-        edges.extend((j * g.n + x, k * g.n + x) for x in range(g.n))
+    # the loops run over factor edges, so the work is O(edges of the product)
+    # however many vertices the factors claim
+    edges = [(j * g.n + u, j * g.n + v) for u, v in g.edges for j in range(b.n)]
+    edges += [(j * g.n + x, k * g.n + x) for j, k in b.edges for x in range(g.n)]
     return Graph(g.n * b.n, tuple(edges), name=f"{g.name}□{b.name}", family=("product", g, b))
 
 

@@ -5,13 +5,18 @@ A page is valid when its edges are pairwise noncrossing under the spine
 order and form a matching (no vertex carries two edges on one page). The
 validator reports every violation rather than the first one found, so a
 broken construction can be localised page by page.
+
+This module owns the crossing rule, once: ``closing_crossings`` places a
+vertex to the right of a spine prefix and reports the crossings that
+placement decides. The validator folds it over a whole spine, and the
+solver builds its page-conflict masks, and searches spine prefixes, with
+the same function.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 from .graphs import Edge, Graph
 
@@ -22,7 +27,8 @@ __all__ = [
     "ValidationReport",
     "MalformedEmbeddingError",
     "check_structure",
-    "edges_cross",
+    "closing_crossings",
+    "incidence",
     "validate",
     "rotate_spine",
     "reflect_spine",
@@ -87,46 +93,69 @@ def check_structure(emb: BookEmbedding) -> None:
         )
 
 
-def edges_cross(spine: tuple[int, ...], e1: Edge, e2: Edge) -> bool:
-    """True iff the two edges interleave under the linear spine order.
+def incidence(n: int, edges) -> list[int]:
+    """Per vertex, the bitmask of the indices of the edges at it."""
+    inc = [0] * n
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    return inc
 
-    Edges sharing an endpoint never cross; they interact through the
-    matching rule instead.
+
+def closing_crossings(v: int, pos, below, closed: int, inc, edges) -> tuple[int, list[tuple[int, int]]]:
+    """The crossings decided by placing v to the right of a spine prefix.
+
+    ``pos`` maps the placed vertices to their positions, ``below[x]`` is
+    the mask of edges at the positions before x (so ``below[-1]`` holds
+    every edge the prefix touches) and ``closed`` the edges with both ends
+    placed. Returns the edges v closes and, per closed edge f, the mask of
+    still-open edges crossing it: those whose placed end lies strictly
+    between f's ends. Folded over a whole spine this reports every pair of
+    interleaving edges exactly once, when the first of the two closes.
     """
-    pos = {v: i for i, v in enumerate(spine)}
-    try:
-        a, b = sorted((pos[e1[0]], pos[e1[1]]))
-        c, d = sorted((pos[e2[0]], pos[e2[1]]))
-    except KeyError as exc:
-        raise ValueError(f"endpoint {exc.args[0]} not on spine") from None
-    if len({e1[0], e1[1], e2[0], e2[1]}) < 4:
-        return False
-    return a < c < b < d or c < a < d < b
+    touched = below[-1]
+    newly = inc[v] & touched
+    opens = touched & ~closed & ~newly
+    found = []
+    rest = newly
+    while rest:
+        low = rest & -rest
+        f = low.bit_length() - 1
+        rest ^= low
+        a, b = edges[f]
+        found.append((f, opens & ~below[pos[b if a == v else a] + 1]))
+    return newly, found
 
 
 def validate(emb: BookEmbedding) -> ValidationReport:
     """Exhaustively check the no-crossing rule and the matching rule."""
     check_structure(emb)
     g = emb.graph
-    pos = [0] * g.n
-    for i, v in enumerate(emb.spine):
-        pos[v] = i
+    on_page = [0] * emb.page_count
     by_page: dict[int, list[Edge]] = defaultdict(list)
-    for edge, page in zip(g.edges, emb.pages):
+    for i, (edge, page) in enumerate(zip(g.edges, emb.pages)):
+        on_page[page] |= 1 << i
         by_page[page].append(edge)
 
     violations: list[Crossing | MatchingViolation] = []
-    for page, edges in by_page.items():
-        spans = []
-        for u, v in edges:
-            pu, pv = pos[u], pos[v]
-            spans.append((pu, pv) if pu < pv else (pv, pu))
-        for i, j in combinations(range(len(edges)), 2):
-            a, b = spans[i]
-            c, d = spans[j]
-            if a < c < b < d or c < a < d < b:
-                ea, eb = sorted((edges[i], edges[j]))
+    inc = incidence(g.n, g.edges)
+    pos = [0] * g.n
+    below = [0]
+    closed = 0
+    for here, v in enumerate(emb.spine):
+        newly, found = closing_crossings(v, pos, below, closed, inc, g.edges)
+        for f, cross in found:
+            page = emb.pages[f]
+            cross &= on_page[page]
+            while cross:
+                low = cross & -cross
+                cross ^= low
+                ea, eb = sorted((g.edges[f], g.edges[low.bit_length() - 1]))
                 violations.append(Crossing(page, ea, eb))
+        pos[v] = here
+        closed |= newly
+        below.append(below[-1] | inc[v])
+    for page, edges in by_page.items():
         incident: dict[int, list[Edge]] = defaultdict(list)
         for edge in edges:
             incident[edge[0]].append(edge)

@@ -32,7 +32,7 @@ from .graphs import (
     is_regular,
     max_degree,
 )
-from .layout import BookEmbedding
+from .layout import BookEmbedding, closing_crossings, incidence
 
 FOUND = "found"
 INFEASIBLE = "infeasible"
@@ -53,46 +53,17 @@ class ColoringOutcome:
 
 def conflict_masks(g: Graph, spine: tuple[int, ...]) -> list[int]:
     """Adjacency bitmasks of the page-conflict graph on g's canonical edges."""
-    pos = [0] * g.n
-    for i, v in enumerate(spine):
-        pos[v] = i
-    spans = []
-    for u, v in g.edges:
-        pu, pv = pos[u], pos[v]
-        spans.append((pu, pv) if pu < pv else (pv, pu))
-    m = len(spans)
-    masks = [0] * m
-    es = g.edges
-    for i in range(m):
-        a, b = spans[i]
-        ui, vi = es[i]
-        for j in range(i + 1, m):
-            c, d = spans[j]
-            uj, vj = es[j]
-            if (
-                (a < c < b < d)
-                or (c < a < d < b)
-                or ui == uj
-                or ui == vj
-                or vi == uj
-                or vi == vj
-            ):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+    search = _PrefixSearch((g.n, g.edges, endpoint_conflict_masks(g)), 0, 0, False, None)
+    state = search.root()
+    for v in spine:
+        state = search.place(state, v)[0]
+    return state[2]
 
 
 def endpoint_conflict_masks(g: Graph) -> list[int]:
     """Conflict bitmasks from shared endpoints only (the line graph)."""
-    masks = [0] * g.m
-    for i in range(g.m):
-        u, v = g.edges[i]
-        for j in range(i + 1, g.m):
-            x, y = g.edges[j]
-            if u == x or u == y or v == x or v == y:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+    inc = incidence(g.n, g.edges)
+    return [(inc[u] | inc[v]) ^ (1 << i) for i, (u, v) in enumerate(g.edges)]
 
 
 def color_graph(
@@ -220,13 +191,6 @@ def color_graph(
         result = None
 
 
-@dataclass(frozen=True)
-class PageSearch:
-    status: str
-    pages: tuple[int, ...] | None
-    nodes: int
-
-
 def _require_spine(g: Graph, spine) -> tuple[int, ...]:
     spine = tuple(spine)
     if sorted(spine) != list(range(g.n)):
@@ -234,36 +198,17 @@ def _require_spine(g: Graph, spine) -> tuple[int, ...]:
     return spine
 
 
-def feasible_pages(
-    g: Graph, spine, k: int, node_budget: int = DEFAULT_ORDER_NODES
-) -> PageSearch:
-    """Search for a k-page assignment under a fixed spine order.
-
-    The status distinguishes a proven infeasibility from a search that ran
-    out of budget.
-    """
-    spine = _require_spine(g, spine)
-    out = color_graph(conflict_masks(g, spine), k, node_budget)
-    return PageSearch(out.status, out.colors, out.nodes)
-
-
 def first_fit_pages(g: Graph, spine) -> tuple[int, ...]:
     """Greedy page assignment in canonical edge order; always valid."""
     spine = _require_spine(g, spine)
-    masks = conflict_masks(g, spine)
-    pages = [0] * g.m
-    for i in range(g.m):
-        taken = 0
-        rest = masks[i] & ((1 << i) - 1)
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            taken |= 1 << pages[j]
-        c = 0
-        while taken >> c & 1:
-            c += 1
-        pages[i] = c
+    members: list[int] = []  # per page, the edges already on it
+    pages = []
+    for i, mask in enumerate(conflict_masks(g, spine)):
+        c = next((c for c, on in enumerate(members) if not mask & on), len(members))
+        if c == len(members):
+            members.append(0)
+        members[c] |= 1 << i
+        pages.append(c)
     return tuple(pages)
 
 
@@ -399,14 +344,15 @@ class _PrefixSearch:
     of every placed one, and a crossing depends only on the relative order
     of four endpoints, so some conflicts are decided by the prefix alone:
     two closed edges (both ends placed) cross as on a full spine, and a
-    closed edge (a, b) conflicts with an open edge whose placed end c has
-    a < c < b. The decided conflicts hold in every completion, so when the
-    kernel refutes them at k pages, every order below the prefix is
-    refuted. A full spine decides every pair, so its masks are exactly
-    ``conflict_masks`` for it.
+    closed edge conflicts with an open edge whose placed end lies strictly
+    between its ends. The decided conflicts hold in every completion, so
+    when the kernel refutes them at k pages, every order below the prefix
+    is refuted. A full spine decides every pair: ``conflict_masks`` is
+    this placement folded over it.
 
-    A state is (spine prefix, positions, masks, edges touched, edges
-    closed); masks start from the shared-endpoint conflicts.
+    A state is (spine prefix, positions, masks, edges below each
+    position, edges closed); masks start from the shared-endpoint
+    conflicts, and each placement adds what ``closing_crossings`` decides.
     """
 
     def __init__(
@@ -414,10 +360,7 @@ class _PrefixSearch:
         split: int | None = None,
     ):
         self.n, self.edges, self.base = payload
-        self.inc = [0] * self.n
-        for i, (u, v) in enumerate(self.edges):
-            self.inc[u] |= 1 << i
-            self.inc[v] |= 1 << i
+        self.inc = incidence(self.n, self.edges)
         self.k = k
         self.node_budget = node_budget
         self.pinned = symmetry and self.n >= 1
@@ -432,45 +375,31 @@ class _PrefixSearch:
         self.unknown = False
 
     def root(self):
-        state = ((), [-1] * self.n, self.base, 0, 0)
+        state = ((), [-1] * self.n, self.base, (0,), 0)
         return self.place(state, 0)[0] if self.pinned else state
 
     def place(self, state, v: int):
         """The state extended by vertex v, and whether that decided a new
-        conflict. An edge closed by v conflicts with the open edges whose
-        placed end lies strictly between its ends."""
-        spine, pos, masks, touched, closed = state
-        inc = self.inc
-        here = len(spine)
-        newly = inc[v] & touched
-        closed |= newly
-        opens = touched & ~closed
+        conflict."""
+        spine, pos, masks, below, closed = state
+        newly, found = closing_crossings(v, pos, below, closed, self.inc, self.edges)
         pos = pos[:]
-        pos[v] = here
+        pos[v] = len(spine)
         changed = False
-        if newly and opens:
-            # right[x]: the edges at the vertices in positions x..here-1
-            right = [0] * (here + 1)
-            for x in range(here - 1, -1, -1):
-                right[x] = right[x + 1] | inc[spine[x]]
-            rest = newly
-            while rest:
-                low = rest & -rest
-                f = low.bit_length() - 1
-                rest ^= low
-                a, b = self.edges[f]
-                cross = right[pos[b if a == v else a] + 1] & opens
-                if not cross:
-                    continue
-                if not changed:
-                    masks = masks[:]
-                    changed = True
-                masks[f] |= cross
-                while cross:
-                    bit = cross & -cross
-                    masks[bit.bit_length() - 1] |= low
-                    cross ^= bit
-        return (spine + (v,), pos, masks, touched | inc[v], closed), changed
+        for f, cross in found:
+            if not cross:
+                continue
+            if not changed:
+                masks = masks[:]
+                changed = True
+            masks[f] |= cross
+            low = 1 << f
+            while cross:
+                bit = cross & -cross
+                masks[bit.bit_length() - 1] |= low
+                cross ^= bit
+        below += (below[-1] | self.inc[v],)
+        return (spine + (v,), pos, masks, below, closed | newly), changed
 
     def leaves(self, spine: tuple[int, ...]) -> int:
         """Canonical spine orders that extend the prefix."""
@@ -487,8 +416,6 @@ class _PrefixSearch:
 
     def kernel(self, masks: list[int]) -> ColoringOutcome:
         deadline = self.deadline
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Timeout
         out = color_graph(masks, self.k, self.node_budget, deadline)
         self.nodes += out.nodes
         if out.status == UNKNOWN and deadline is not None and time.monotonic() > deadline:
@@ -499,6 +426,8 @@ class _PrefixSearch:
         """Searches the orders below the state's prefix and returns the
         earliest feasible (spine, pages), or None. ``out`` is the kernel's
         verdict on the parent's masks when these are the same."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Timeout
         spine = state[0]
         if len(spine) == self.split:
             self.items.append((self.settled, spine))

@@ -49,6 +49,45 @@ def brute_violation_count(spine, edges, pages) -> int:
     return count
 
 
+def _interleave(where, e, f) -> bool:
+    a, b = sorted((where[e[0]], where[e[1]]))
+    c, d = sorted((where[f[0]], where[f[1]]))
+    return (a < c < b < d) or (c < a < d < b)
+
+
+def brute_conflict_masks(spine, edges) -> list[int]:
+    """Page-conflict bitmasks by testing every edge pair: two edges
+    conflict when they share an endpoint or interleave on the spine."""
+    where = {v: i for i, v in enumerate(spine)}
+    masks = [0] * len(edges)
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            if set(edges[i]) & set(edges[j]) or _interleave(where, edges[i], edges[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def brute_violations(spine, edges, pages) -> list[tuple]:
+    """Every violation in page order, crossings before matching clashes:
+    ("crossing", page, e, f) per same-page interleaving pair with e < f,
+    then ("matching", page, v, edges at v) per vertex with two or more
+    edges on the page."""
+    where = {v: i for i, v in enumerate(spine)}
+    out = []
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            e, f = sorted((edges[i], edges[j]))
+            if pages[i] == pages[j] and not set(e) & set(f) and _interleave(where, e, f):
+                out.append(((pages[i], 0, e, f), ("crossing", pages[i], e, f)))
+    for page in set(pages):
+        for v in spine:
+            at = tuple(sorted(e for e, p in zip(edges, pages) if p == page and v in e))
+            if len(at) >= 2:
+                out.append(((page, 1, (v,), at), ("matching", page, v, at)))
+    return [item for _, item in sorted(out)]
+
+
 def brute_feasible(edges, spine, k: int) -> bool:
     """Try all k^m page assignments (only sensible for tiny m)."""
     if not edges:

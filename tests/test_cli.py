@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from matchbook.formats import (
     save_embedding,
     save_graph,
 )
-from matchbook.graphs import complete, cycle, delete_edge, kpcq, path
+from matchbook.graphs import Graph, complete, cycle, delete_edge, kpcq, path
 from matchbook.layout import BookEmbedding, validate
 
 
@@ -343,6 +344,44 @@ def test_embed_rejects_false_family_tag(capsys, tmp_path, family):
     code, out, err = run(capsys, "embed", str(gp))
     assert code == 2 and out == ""
     assert err.startswith("format error: family") and len(err.strip().splitlines()) == 1
+
+
+HUGE_EDGELESS = {"n": 2**64, "edges": []}
+# 10**12 vertices as the product of K1 and an edgeless right factor: the
+# family tag matches the document in closed form and regenerates in O(edges)
+HUGE_PRODUCT = {
+    "n": 10**12,
+    "edges": [],
+    "family": {"kind": "product", "left": {"n": 1, "edges": []}, "right": {"n": 10**12, "edges": []}},
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "embed"])
+@pytest.mark.parametrize("doc", [HUGE_EDGELESS, HUGE_PRODUCT], ids=["edgeless", "product"])
+def test_huge_claimed_graph_is_rejected_at_once(capsys, tmp_path, doc, command):
+    gp = tmp_path / "g.json"
+    gp.write_text(json.dumps(doc, separators=(",", ":")))
+    assert gp.stat().st_size <= 150
+    start = time.monotonic()
+    code, out, err = run(capsys, command, str(gp))
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "connected" in err
+
+
+def test_embed_rejects_disconnected_graph_before_any_scheme(capsys, tmp_path):
+    # a disconnected product whose right factor has an odd cycle: the
+    # product scheme would report it unresolved (exit 1)
+    left, right, gp = (tmp_path / n for n in ("l.json", "r.json", "g.json"))
+    save_graph(Graph(2, ()), left)
+    save_graph(cycle(3), right)
+    assert run(
+        capsys, "gen", "--family", "product-of-files",
+        "--left", str(left), "--right", str(right), "-o", str(gp),
+    )[0] == 0
+    code, out, err = run(capsys, "embed", str(gp), "--method", "construction:product-lemma2.5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not connected" in err
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import signal
 import tempfile
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from matchbook.formats import (
     save_graph,
 )
 from matchbook.graphs import (
+    Graph,
     cartesian_product,
     complete,
     complete_bipartite,
@@ -277,6 +279,61 @@ def mutated(draw, bases):
     return doc
 
 
+# a family tag's sizes are checked in closed form and its regeneration costs
+# O(edges), so a document claiming a huge graph parses in bounded time; an
+# edgeless graph, and the product of K1 and an edgeless factor when its n
+# and its right factor's n grow together, stay well formed at any size
+HUGE = st.sampled_from([2**31, 10**12, 2**63, 2**64]) | st.integers(2**20, 2**64)
+EDGELESS = [graph_to_dict(Graph(3)), graph_to_dict(cartesian_product(Graph(1), Graph(3)))]
+
+
+def _size_fields(node, out):
+    """(container, key) of every 'n' field and family argument in a document."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            if key == "n":
+                out.append((node, key))
+            elif key == "args":
+                out.extend((child, i) for i in range(len(child)))
+            else:
+                _size_fields(child, out)
+    elif isinstance(node, list):
+        for child in node:
+            _size_fields(child, out)
+    return out
+
+
+@st.composite
+def inflated(draw, bases):
+    """A valid document with one to three of its sizes set to one huge value."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    fields = _size_fields(doc, [])
+    value = draw(HUGE)
+    for container, key in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3)):
+        container[key] = value
+    return doc
+
+
+class ExampleOverran(Exception):
+    """An example ran past its wall-clock bound."""
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Interrupt the body once it has run for `seconds` of wall time."""
+
+    def expire(signum, frame):
+        raise ExampleOverran(f"example ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _format_error(parse, doc) -> bool:
     """True when parse rejects doc; any exception but FormatError escapes."""
     try:
@@ -286,30 +343,37 @@ def _format_error(parse, doc) -> bool:
     return False
 
 
-def _cli_rejects(*argv) -> None:
+def _cli_rejects(*argv, diagnostic="format error: ") -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     assert code == 2 and out.getvalue() == ""
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("format error: "), lines
+    assert len(lines) == 1 and lines[0].startswith(diagnostic), lines
 
 
-@given(doc=JSON | mutated(GRAPH_DOCS))
+@given(doc=JSON | mutated(GRAPH_DOCS) | inflated(GRAPH_DOCS + EDGELESS))
 def test_graph_parser_raises_only_format_error(doc):
-    if _format_error(parse_graph_dict, doc):
-        with tempfile.TemporaryDirectory() as tmp:
+    with within(0.5), tempfile.TemporaryDirectory() as tmp:
+        if _format_error(parse_graph_dict, doc):
             gp, ep = Path(tmp, "g.json"), Path(tmp, "e.json")
             gp.write_text(json.dumps(doc))
             save_embedding(complete_embedding(3), ep)
             _cli_rejects("embed", str(gp))
             _cli_rejects("verify", str(gp), str(ep))
+        elif doc["n"] >= 2**20:
+            # a well-formed claim of a huge graph with a few edges: too few
+            # to connect it, which solve and embed decide at once
+            gp = Path(tmp, "g.json")
+            gp.write_text(json.dumps(doc))
+            _cli_rejects("embed", str(gp), diagnostic="error: ")
+            _cli_rejects("solve", str(gp), diagnostic="error: ")
 
 
-@given(doc=JSON | mutated(EMBEDDING_DOCS))
+@given(doc=JSON | mutated(EMBEDDING_DOCS) | inflated(EMBEDDING_DOCS))
 def test_embedding_parser_raises_only_format_error(doc):
-    if _format_error(parse_embedding_dict, doc):
-        with tempfile.TemporaryDirectory() as tmp:
+    with within(0.5), tempfile.TemporaryDirectory() as tmp:
+        if _format_error(parse_embedding_dict, doc):
             gp, ep = Path(tmp, "g.json"), Path(tmp, "e.json")
             save_graph(complete(3), gp)
             ep.write_text(json.dumps(doc))

@@ -10,39 +10,15 @@ from matchbook.layout import (
     MalformedEmbeddingError,
     MatchingViolation,
     check_structure,
-    edges_cross,
     reflect_spine,
     rotate_spine,
     validate,
 )
-from oracles import brute_valid, brute_violation_count
+from oracles import brute_valid, brute_violation_count, brute_violations
 from strategies import embeddings
 
 
 SPINE4 = (0, 1, 2, 3)
-
-
-def test_edges_cross_examples():
-    assert edges_cross(SPINE4, (0, 2), (1, 3)) is True
-    assert edges_cross(SPINE4, (0, 3), (1, 2)) is False  # nested
-    assert edges_cross(SPINE4, (0, 1), (2, 3)) is False  # disjoint
-
-
-def test_edges_cross_shared_endpoint_never_crosses():
-    assert edges_cross(SPINE4, (0, 2), (2, 3)) is False
-
-
-def test_edges_cross_unknown_endpoint():
-    with pytest.raises(ValueError, match="not on spine"):
-        edges_cross((0, 1, 2), (0, 5), (1, 2))
-
-
-@given(st.permutations(range(6)))
-def test_edges_cross_symmetry(spine):
-    spine = tuple(spine)
-    e1, e2 = (0, 3), (1 , 4)
-    assert edges_cross(spine, e1, e2) == edges_cross(spine, e2, e1)
-    assert edges_cross(spine, e1, e2) == edges_cross(spine, e1[::-1], e2[::-1])
 
 
 def test_validate_k5_congruence():
@@ -115,6 +91,22 @@ def test_validator_agrees_with_brute_force(emb):
     g = emb.graph
     assert rep.valid == brute_valid(emb.spine, g.edges, emb.pages)
     assert len(rep.violations) == brute_violation_count(emb.spine, g.edges, emb.pages)
+
+
+def _as_tuple(v):
+    if isinstance(v, Crossing):
+        return ("crossing", v.page, v.edge_a, v.edge_b)
+    return ("matching", v.page, v.vertex, v.edges)
+
+
+@given(embeddings(max_n=12))
+@settings(max_examples=300)
+def test_violations_equal_brute_force(emb):
+    # the exact list, in order: it is what `verify` prints and `render
+    # --force` draws
+    rep = validate(emb)
+    expected = brute_violations(emb.spine, emb.graph.edges, emb.pages)
+    assert [_as_tuple(v) for v in rep.violations] == expected
 
 
 @given(embeddings(max_n=9))

@@ -37,12 +37,11 @@ from matchbook.solver import (
     edge_chromatic_exact,
     endpoint_conflict_masks,
     exact_mbt,
-    feasible_pages,
     first_fit_pages,
     lower_bound,
     spine_orders,
 )
-from oracles import brute_chromatic_index, brute_feasible, check_odd_cycle
+from oracles import brute_chromatic_index, brute_conflict_masks, brute_feasible, check_odd_cycle
 from strategies import graphs
 
 
@@ -106,20 +105,25 @@ def test_edge_chromatic_budget_unknown():
     assert edge_chromatic_exact(complete(6), node_budget=1) is None
 
 
+def feasible(g, spine, k, node_budget=DEFAULT_ORDER_NODES):
+    """k pages under a fixed spine: the kernel on the spine's conflict masks."""
+    return color_graph(conflict_masks(g, tuple(spine)), k, node_budget)
+
+
 def test_feasible_pages_examples():
     c4 = cycle(4)
-    out = feasible_pages(c4, (0, 1, 2, 3), 2)
+    out = feasible(c4, (0, 1, 2, 3), 2)
     assert out.status == FOUND
-    emb = validate_pages(c4, (0, 1, 2, 3), out.pages)
+    emb = validate_pages(c4, (0, 1, 2, 3), out.colors)
     assert emb
 
     for spine in spine_orders(3):
-        assert feasible_pages(cycle(3), spine, 2).status == INFEASIBLE
+        assert feasible(cycle(3), spine, 2).status == INFEASIBLE
 
     snake = snake_spine(5, 3)
-    out = feasible_pages(kpcq(5, 3), snake, 7)
+    out = feasible(kpcq(5, 3), snake, 7)
     assert out.status == FOUND
-    assert validate_pages(kpcq(5, 3), snake, out.pages)
+    assert validate_pages(kpcq(5, 3), snake, out.colors)
 
 
 def validate_pages(g, spine, pages) -> bool:
@@ -137,13 +141,13 @@ def snake_spine(p, q):
 
 def test_feasible_pages_unknown_distinct_from_infeasible():
     # k is generous so an assignment exists, but five nodes cannot reach it
-    out = feasible_pages(kpcq(4, 4), tuple(range(16)), 12, node_budget=5)
-    assert out.status == UNKNOWN and out.pages is None
+    out = feasible(kpcq(4, 4), range(16), 12, 5)
+    assert out.status == UNKNOWN and out.colors is None
 
 
 def test_feasible_pages_rejects_bad_spine():
     with pytest.raises(ValueError):
-        feasible_pages(cycle(3), (0, 1), 2)
+        first_fit_pages(cycle(3), (0, 1))
 
 
 @given(graphs(min_n=2, max_n=6), st.integers(1, 3))
@@ -152,12 +156,12 @@ def test_feasible_pages_agrees_with_brute_force(g, k):
     if g.m > 10:
         return
     spine = tuple(range(g.n))
-    out = feasible_pages(g, spine, k)
+    out = feasible(g, spine, k)
     assert out.status in (FOUND, INFEASIBLE)
     assert (out.status == FOUND) == brute_feasible(g.edges, spine, k)
     if out.status == FOUND:
-        assert validate_pages(g, spine, out.pages)
-        assert max(out.pages, default=-1) < k
+        assert validate_pages(g, spine, out.colors)
+        assert max(out.colors, default=-1) < k
 
 
 @given(graphs(min_n=2, max_n=7))
@@ -165,8 +169,8 @@ def test_feasible_pages_agrees_with_brute_force(g, k):
 def test_feasible_pages_monotone(g):
     spine = tuple(range(g.n))
     for k in range(1, 5):
-        if feasible_pages(g, spine, k).status == FOUND:
-            assert feasible_pages(g, spine, k + 1).status == FOUND
+        if feasible(g, spine, k).status == FOUND:
+            assert feasible(g, spine, k + 1).status == FOUND
             break
 
 
@@ -174,6 +178,16 @@ def test_first_fit_is_valid():
     for g in [complete(6), kpcq(4, 4), hypercube(3)]:
         pages = first_fit_pages(g, tuple(range(g.n)))
         assert validate_pages(g, range(g.n), pages)
+
+
+def test_first_fit_on_the_k20c21_snake_spine_is_near_linear():
+    # m = 4,410; pairwise conflict and crossing loops took 1.5 s here
+    emb = kpcq_embedding(20, 21).embedding
+    start = time.perf_counter()
+    pages = first_fit_pages(emb.graph, emb.spine)
+    valid = validate_pages(emb.graph, emb.spine, pages)
+    assert time.perf_counter() - start < 0.75
+    assert valid
 
 
 def test_spine_order_counts():
@@ -371,16 +385,16 @@ def test_color_graph_matches_recursive_reference(g, k, budget, rnd):
 def test_color_graph_depth_beyond_recursion_limit():
     # m = 1,155 edges on the snake spine; a recursive search overflowed here
     emb = kpcq_embedding(10, 21).embedding
-    out = feasible_pages(emb.graph, emb.spine, 12)
+    out = feasible(emb.graph, emb.spine, 12)
     assert out.status == FOUND
-    assert max(out.pages) + 1 == 12 and validate_pages(emb.graph, emb.spine, out.pages)
+    assert max(out.colors) + 1 == 12 and validate_pages(emb.graph, emb.spine, out.colors)
 
 
 def test_color_graph_snake_spine_m2520():
     emb = kpcq_embedding(15, 21).embedding
-    out = feasible_pages(emb.graph, emb.spine, 17)
+    out = feasible(emb.graph, emb.spine, 17)
     assert out.status == FOUND
-    assert max(out.pages) + 1 == 17 and validate_pages(emb.graph, emb.spine, out.pages)
+    assert max(out.colors) + 1 == 17 and validate_pages(emb.graph, emb.spine, out.colors)
 
 
 def test_color_graph_stops_at_deadline():
@@ -400,6 +414,16 @@ def test_timeout_bounds_the_lower_bound():
     assert res.stats.timed_out and not res.exhaustive
     # out of time, the chromatic-index search leaves the max-degree bound
     assert res.bound.reason == "max-degree" and res.bound.value == 8
+    assert res.value == res.witness.page_count and validate(res.witness).valid
+
+
+def test_timeout_bounds_a_search_without_kernel_calls():
+    # most placements on K3xC151 decide no new conflict, so the search
+    # descends on its parent's verdict without calling the kernel
+    start = time.monotonic()
+    res = exact_mbt(kpcq(3, 151), SolveOptions(timeout_s=1))
+    assert time.monotonic() - start < 3
+    assert res.stats.timed_out and not res.exhaustive
     assert res.value == res.witness.page_count and validate(res.witness).valid
 
 
@@ -443,8 +467,8 @@ def replay(g, spine, symmetry=False):
 def test_prefix_masks_are_decided_conflicts(g, rnd, cut):
     spine = list(range(g.n))
     rnd.shuffle(spine)
-    full = conflict_masks(g, tuple(spine))
-    assert replay(g, spine) == full
+    full = brute_conflict_masks(spine, g.edges)
+    assert replay(g, spine) == full == conflict_masks(g, tuple(spine))
     # a prefix's conflicts are exactly those of the full spine that hold
     # under every order of the vertices still to be placed
     prefix = spine[: min(cut, g.n)]
@@ -452,7 +476,7 @@ def test_prefix_masks_are_decided_conflicts(g, rnd, cut):
     decided = replay(g, prefix)
     common = [-1] * g.m
     for tail in islice(permutations(rest), 120):
-        for i, mask in enumerate(conflict_masks(g, (*prefix, *tail))):
+        for i, mask in enumerate(brute_conflict_masks((*prefix, *tail), g.edges)):
             common[i] &= mask
     if len(rest) <= 5:
         assert decided == common
