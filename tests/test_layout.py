@@ -10,15 +10,77 @@ from matchbook.layout import (
     MalformedEmbeddingError,
     MatchingViolation,
     check_structure,
+    closing_crossings,
+    incidence,
     reflect_spine,
     rotate_spine,
     validate,
 )
+from matchbook.solver import first_fit_pages
 from oracles import brute_valid, brute_violation_count, brute_violations
 from strategies import embeddings
 
 
 SPINE4 = (0, 1, 2, 3)
+
+
+def _crosses(spine, e1, e2) -> bool:
+    """Whether e1 and e2 interleave on spine, by folding closing_crossings.
+
+    The edges are passed in the given order and orientation, so the rule
+    itself is exercised, not the canonical storage of Graph.
+    """
+    edges = (e1, e2)
+    inc = incidence(len(spine), edges)
+    pos = [0] * len(spine)
+    below = [0]
+    closed = 0
+    pairs = 0
+    for here, v in enumerate(spine):
+        newly, found = closing_crossings(v, pos, below, closed, inc, edges)
+        pairs += sum(bin(cross).count("1") for _, cross in found)
+        pos[v] = here
+        closed |= newly
+        below.append(below[-1] | inc[v])
+    assert pairs <= 1  # a crossing pair is reported once, not twice
+    return pairs == 1
+
+
+def _validate_crosses(spine, e1, e2) -> bool:
+    emb = BookEmbedding(Graph(len(spine), (e1, e2)), spine, (0, 0), 1)
+    return any(isinstance(v, Crossing) for v in validate(emb).violations)
+
+
+def test_edges_cross_examples():
+    for e1, e2, expected in (
+        ((0, 2), (1, 3), True),
+        ((0, 3), (1, 2), False),  # nested
+        ((0, 1), (2, 3), False),  # disjoint
+    ):
+        assert _crosses(SPINE4, e1, e2) is expected
+        assert _validate_crosses(SPINE4, e1, e2) is expected
+
+
+def test_edges_cross_shared_endpoint_never_crosses():
+    assert _crosses(SPINE4, (0, 2), (2, 3)) is False
+    assert _validate_crosses(SPINE4, (0, 2), (2, 3)) is False
+
+
+def test_edges_cross_unknown_endpoint():
+    g = Graph(6, ((0, 5), (1, 2)))
+    with pytest.raises(MalformedEmbeddingError, match="permutation"):
+        validate(BookEmbedding(g, (0, 1, 2), (0, 0), 1))
+    with pytest.raises(ValueError, match="permutation"):
+        first_fit_pages(g, (0, 1, 2))
+
+
+@given(st.permutations(range(6)))
+def test_edges_cross_symmetry(spine):
+    spine = tuple(spine)
+    e1, e2 = (0, 3), (1 , 4)
+    assert _crosses(spine, e1, e2) == _crosses(spine, e2, e1)
+    assert _crosses(spine, e1, e2) == _crosses(spine, e1[::-1], e2[::-1])
+    assert _crosses(spine, e1, e2) == _validate_crosses(spine, e1, e2)
 
 
 def test_validate_k5_congruence():
