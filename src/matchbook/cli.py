@@ -210,7 +210,7 @@ def _add_io_flags(sp) -> None:
 def _add_solver_flags(sp) -> None:
     sp.add_argument("--max-pages", type=int, default=None)
     sp.add_argument("--timeout", type=float, default=600.0, help="global budget in seconds")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="accepted and ignored (serial solve)")
     sp.add_argument("--no-symmetry", action="store_true", help="enumerate all spine orders")
 
 

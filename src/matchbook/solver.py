@@ -20,7 +20,6 @@ every order that extends it, so one kernel call can refute a subtree.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
@@ -40,8 +39,6 @@ UNKNOWN = "unknown"
 
 DEFAULT_ORDER_NODES = 500_000
 DEFAULT_CHI_NODES = 2_000_000
-# prefix length at which a level's search splits into subtrees
-SPLIT_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,7 @@ class ColoringOutcome:
 
 def conflict_masks(g: Graph, spine: tuple[int, ...]) -> list[int]:
     """Adjacency bitmasks of the page-conflict graph on g's canonical edges."""
-    search = _PrefixSearch((g.n, g.edges, endpoint_conflict_masks(g)), 0, 0, False, None)
+    search = _PrefixSearch(g, 0, 0, False, None)
     state = search.root()
     for v in spine:
         state = search.place(state, v)[0]
@@ -287,6 +284,9 @@ def lower_bound(
 
 @dataclass
 class SolveOptions:
+    """``timeout_s`` bounds the whole solve (None: no limit). ``jobs`` is
+    accepted and ignored: each level is one prefix search in this process."""
+
     max_pages: int | None = None
     timeout_s: float | None = 600.0
     jobs: int = 1
@@ -353,24 +353,22 @@ class _PrefixSearch:
     A state is (spine prefix, positions, masks, edges below each
     position, edges closed); masks start from the shared-endpoint
     conflicts, and each placement adds what ``closing_crossings`` decides.
+    A level is one search from the root, in this process, so its result
+    and counters do not depend on ``SolveOptions.jobs``.
     """
 
     def __init__(
-        self, payload, k: int, node_budget: int, symmetry: bool, deadline: float | None,
-        split: int | None = None,
+        self, g: Graph, k: int, node_budget: int, symmetry: bool, deadline: float | None
     ):
-        self.n, self.edges, self.base = payload
+        self.n, self.edges = g.n, g.edges
+        self.base = endpoint_conflict_masks(g)
         self.inc = incidence(self.n, self.edges)
         self.k = k
         self.node_budget = node_budget
         self.pinned = symmetry and self.n >= 1
         self.mirror = symmetry and self.n >= 3
         self.deadline = deadline
-        # with a split depth, prefixes of that length are collected in
-        # order, each with the count of orders settled since the last one
-        self.split = split
-        self.items: list[tuple[int, tuple[int, ...]]] = []
-        self.settled = 0
+        self.settled = 0  # orders refuted or tested so far
         self.nodes = 0
         self.unknown = False
 
@@ -429,10 +427,6 @@ class _PrefixSearch:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Timeout
         spine = state[0]
-        if len(spine) == self.split:
-            self.items.append((self.settled, spine))
-            self.settled = 0
-            return None
         if out is None:
             out = self.kernel(state[2])
         if out.status == INFEASIBLE:
@@ -453,75 +447,21 @@ class _PrefixSearch:
         return None
 
 
-def _scan_subtree(payload, prefix, k, node_budget, symmetry, deadline):
-    """Searches the orders below one spine prefix, in this process or in a
-    pool worker. Returns (found, orders settled, nodes, any unknown, timed
-    out)."""
-    search = _PrefixSearch(payload, k, node_budget, symmetry, deadline)
-    state = search.root()
-    for v in prefix[len(state[0]):]:
-        state = search.place(state, v)[0]
-    try:
-        found, timed = search.visit(state, None), False
-    except _Timeout:
-        found, timed = None, True
-    return found, search.settled, search.nodes, search.unknown, timed
-
-
-def _scan_level(
-    payload, k: int, opts: SolveOptions, deadline: float | None, stats: SolveStats, pool=None
-):
+def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, stats: SolveStats):
     """Searches the spine orders at page budget k.
 
-    The prefix tree is searched here down to SPLIT_DEPTH; the subtrees of
-    the surviving prefixes are searched in order, in this process or in
-    the pool. Returns (found, any_unknown); found is (spine, pages) for the
-    earliest feasible order in enumeration sequence. Stats count the split
-    and the subtrees up to that one, so neither depends on the worker
-    count.
+    Returns (found, any_unknown); found is (spine, pages) for the earliest
+    feasible order in enumeration sequence. Stats count the orders settled
+    up to that one, or up to the deadline.
     Raises _Timeout once the deadline has passed.
     """
-    split = min(SPLIT_DEPTH, payload[0])
-    top = _PrefixSearch(payload, k, opts.order_nodes, opts.symmetry, deadline, split)
+    search = _PrefixSearch(g, k, opts.order_nodes, opts.symmetry, deadline)
     try:
-        top.visit(top.root(), None)
+        return search.visit(search.root(), None), search.unknown
     finally:
-        stats.nodes += top.nodes
-    args = (k, opts.order_nodes, opts.symmetry, deadline)
-    if pool is None:
-        futures = []
-        results = (_scan_subtree(payload, prefix, *args) for _, prefix in top.items)
-    else:
-        futures = [pool.submit(_scan_subtree, payload, prefix, *args) for _, prefix in top.items]
-        results = (f.result() for f in futures)
-    tested, unknown, found, timed = 0, False, None, False
-    try:
-        for (pruned, _), (found, settled, nodes, sub_unknown, timed) in zip(top.items, results):
-            tested += pruned + settled
-            stats.nodes += nodes
-            unknown = unknown or sub_unknown
-            if found is not None or timed:
-                break
-        else:
-            tested += top.settled
-    finally:
-        for f in futures:
-            f.cancel()
-    stats.orders_tested += tested
-    stats.per_level[k] = tested
-    if timed:
-        raise _Timeout
-    return found, unknown
-
-
-def _worker_pool(jobs: int):
-    """A process pool for jobs > 1; imported here so that serial callers
-    never load concurrent.futures."""
-    if jobs <= 1:
-        return nullcontext()
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=jobs)
+        stats.nodes += search.nodes
+        stats.orders_tested += search.settled
+        stats.per_level[k] = search.settled
 
 
 def _embedding_from(g: Graph, spine: tuple[int, ...], pages: tuple[int, ...]) -> BookEmbedding:
@@ -537,6 +477,8 @@ def exact_mbt(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
     below it was either fully refuted or already below the bound.
     """
     opts = opts or SolveOptions()
+    if opts.timeout_s is not None and not opts.timeout_s >= 0:
+        raise ValueError(f"timeout must be a non-negative number of seconds, not {opts.timeout_s}")
     if not is_connected(g):
         raise ValueError("exact_mbt requires a connected graph")
     start = time.monotonic()
@@ -552,21 +494,19 @@ def exact_mbt(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
 
     clean_below = True
     hi = upper if opts.max_pages is None else min(upper, opts.max_pages + 1)
-    payload = (g.n, g.edges, endpoint_conflict_masks(g))
-    with _worker_pool(opts.jobs) as pool:
-        for k in range(cert.value, hi):
-            try:
-                found, level_unknown = _scan_level(payload, k, opts, deadline, stats, pool)
-            except _Timeout:
-                stats.timed_out = True
-                stats.elapsed_s = time.monotonic() - start
-                return SolveResult(upper, fallback, False, cert, stats)
-            if found is not None:
-                spine, pages = found
-                emb = _embedding_from(g, spine, pages)
-                stats.elapsed_s = time.monotonic() - start
-                return SolveResult(emb.page_count, emb, clean_below, cert, stats)
-            clean_below = clean_below and not level_unknown
+    for k in range(cert.value, hi):
+        try:
+            found, level_unknown = _scan_level(g, k, opts, deadline, stats)
+        except _Timeout:
+            stats.timed_out = True
+            stats.elapsed_s = time.monotonic() - start
+            return SolveResult(upper, fallback, False, cert, stats)
+        if found is not None:
+            spine, pages = found
+            emb = _embedding_from(g, spine, pages)
+            stats.elapsed_s = time.monotonic() - start
+            return SolveResult(emb.page_count, emb, clean_below, cert, stats)
+        clean_below = clean_below and not level_unknown
     stats.elapsed_s = time.monotonic() - start
     if opts.max_pages is not None and upper > opts.max_pages:
         return SolveResult(None, None, False, cert, stats)

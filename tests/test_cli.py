@@ -233,6 +233,32 @@ def test_solve_max_pages_unsolved(capsys, tmp_path):
     assert json.loads(out)["value"] is None
 
 
+@pytest.mark.parametrize("timeout", ["nan", "-1"])
+def test_solve_rejects_nan_or_negative_timeout(capsys, tmp_path, timeout):
+    # a NaN deadline is never passed, so the solve would run unbounded
+    gp = tmp_path / "k4.json"
+    save_graph(complete(4), gp)
+    code, out, err = run(capsys, "solve", str(gp), "--timeout", timeout)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "timeout" in err
+
+
+def test_solve_jobs_flag_is_accepted_and_inert(capsys, tmp_path):
+    from matchbook.graphs import complete_bipartite
+
+    gp = tmp_path / "k33.json"
+    save_graph(complete_bipartite(3, 3), gp)
+    results = []
+    for jobs in ("1", "4"):
+        code, out, _ = run(capsys, "solve", str(gp), "--jobs", jobs)
+        doc = json.loads(out)
+        del doc["stats"]["elapsed_s"]
+        results.append((code, doc))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+
+
 def test_render_roundtrip(capsys, tmp_path):
     gp, ep, sp = tmp_path / "g.json", tmp_path / "e.json", tmp_path / "out.svg"
     save_graph(kpcq(5, 3), gp)
@@ -385,12 +411,20 @@ def test_embed_rejects_disconnected_graph_before_any_scheme(capsys, tmp_path):
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # the pool module is imported only when a solve runs with jobs > 1
-    code = "import sys, matchbook.cli; print('concurrent.futures' in sys.modules)"
+    # neither importing the CLI nor solving with jobs > 1 loads
+    # concurrent.futures or starts a child process
+    code = (
+        "import sys, multiprocessing, matchbook.cli\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        "from matchbook.graphs import complete_bipartite\n"
+        "from matchbook.solver import SolveOptions, exact_mbt\n"
+        "assert exact_mbt(complete_bipartite(3, 3), SolveOptions(jobs=2)).value == 3\n"
+        "print('concurrent.futures' in sys.modules, multiprocessing.active_children())\n"
+    )
     src = str(Path(matchbook.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n") == ["False", "False []", ""]

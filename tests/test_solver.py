@@ -437,10 +437,10 @@ def _corpus_graph(name):
 # committed corpus graphs; any change to the branching of the kernel or of
 # the prefix search moves the node or order counts
 GOLDEN = {
-    "R7-267": (5, 8810, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6)),
-    "K6-e": (6, 292, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5)),
-    "Q3": (3, 78, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7)),
-    "Petersen": (4, 144, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8)),
+    "R7-267": (5, 7834, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6)),
+    "K6-e": (6, 250, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5)),
+    "Q3": (3, 66, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7)),
+    "Petersen": (4, 129, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8)),
     "K3xC3": (5, 143, 2, {5: 2}, (0, 1, 2, 3, 4, 5, 6, 8, 7)),
 }
 
@@ -455,7 +455,7 @@ def test_exact_mbt_golden_counters(name, jobs):
 
 
 def replay(g, spine, symmetry=False):
-    search = _PrefixSearch((g.n, g.edges, endpoint_conflict_masks(g)), 1, 1, symmetry, None)
+    search = _PrefixSearch(g, 1, 1, symmetry, None)
     state = search.root()
     for v in spine[len(state[0]):]:
         state = search.place(state, v)[0]
@@ -511,11 +511,10 @@ SCAN_CORPUS = [
 def test_prefix_scan_matches_flat_scan(g, symmetry):
     res = exact_mbt(g, SolveOptions(symmetry=symmetry))
     assert res.exhaustive
-    payload = (g.n, g.edges, endpoint_conflict_masks(g))
     everything = factorial(g.n - 1) // 2 if symmetry else factorial(g.n)
     for k in range(res.bound.value, res.value + 1):
         stats = SolveStats()
-        found, unknown = _scan_level(payload, k, SolveOptions(symmetry=symmetry), None, stats)
+        found, unknown = _scan_level(g, k, SolveOptions(symmetry=symmetry), None, stats)
         expected, tested = flat_scan(g, k, symmetry)
         assert found == expected and not unknown
         assert stats.per_level == {k: tested} and stats.orders_tested == tested
@@ -534,8 +533,7 @@ def test_prefix_scan_below_the_bound(g, symmetry):
     # below the chromatic index the empty prefix already refutes the level
     k = lower_bound(g).value - 1
     stats = SolveStats()
-    payload = (g.n, g.edges, endpoint_conflict_masks(g))
-    found, unknown = _scan_level(payload, k, SolveOptions(symmetry=symmetry), None, stats)
+    found, unknown = _scan_level(g, k, SolveOptions(symmetry=symmetry), None, stats)
     assert (found, unknown) == (None, False)
     assert stats.per_level == {k: flat_scan(g, k, symmetry)[1]}
 
