@@ -194,19 +194,21 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def _loads(text: str) -> dict:
+def _parse(parse, text: str):
     try:
-        return json.loads(text)
+        return parse(json.loads(text))
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("document is nested too deeply") from None
 
 
 def parse_graph_text(text: str) -> Graph:
-    return parse_graph_dict(_loads(text))
+    return _parse(parse_graph_dict, text)
 
 
 def parse_embedding_text(text: str) -> EmbeddingDocument:
-    return parse_embedding_dict(_loads(text))
+    return _parse(parse_embedding_dict, text)
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -6,11 +6,12 @@ order and form a matching (no vertex carries two edges on one page). The
 validator reports every violation rather than the first one found, so a
 broken construction can be localised page by page.
 
-This module owns the crossing rule, once: ``closing_crossings`` places a
-vertex to the right of a spine prefix and reports the crossings that
-placement decides. The validator folds it over a whole spine, and the
-solver builds its page-conflict masks, and searches spine prefixes, with
-the same function.
+This module owns the crossing rule, once: ``straddling`` reads the edges
+with exactly one end strictly between two spine positions off the
+spine's parity masks. ``crossings`` applies it to every edge of a spine,
+and the validator reads its same-page crossings from there; the solver
+builds its page-conflict masks from ``crossings`` and decides the
+crossings of a spine prefix with ``straddling`` itself.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ __all__ = [
     "ValidationReport",
     "MalformedEmbeddingError",
     "check_structure",
-    "closing_crossings",
+    "crossings",
     "incidence",
+    "straddling",
     "validate",
     "rotate_spine",
     "reflect_spine",
@@ -102,29 +104,34 @@ def incidence(n: int, edges) -> list[int]:
     return inc
 
 
-def closing_crossings(v: int, pos, below, closed: int, inc, edges) -> tuple[int, list[tuple[int, int]]]:
-    """The crossings decided by placing v to the right of a spine prefix.
+def straddling(odd, a: int, b: int) -> int:
+    """The edges with exactly one end strictly between spine positions
+    a < b, where ``odd[x]`` holds the edges with exactly one end among the
+    first x spine vertices (the XOR of their incidence masks).
 
-    ``pos`` maps the placed vertices to their positions, ``below[x]`` is
-    the mask of edges at the positions before x (so ``below[-1]`` holds
-    every edge the prefix touches) and ``closed`` the edges with both ends
-    placed. Returns the edges v closes and, per closed edge f, the mask of
-    still-open edges crossing it: those whose placed end lies strictly
-    between f's ends. Folded over a whole spine this reports every pair of
-    interleaving edges exactly once, when the first of the two closes.
+    ``odd[b] ^ odd[a + 1]`` XORs the incidence masks of the vertices
+    strictly between a and b, so an edge with both ends there cancels out.
+    Of the edges left, those sharing an end with the edge at (a, b) have
+    their other end inside; every other one has one end inside and one
+    outside [a, b], so it crosses that edge. Dropping the edges sharing an
+    end with it leaves exactly the edges crossing it. The rule is
+    symmetric and needs no history, and on a spine prefix it decides the
+    crossings that hold in every order extending it.
     """
-    touched = below[-1]
-    newly = inc[v] & touched
-    opens = touched & ~closed & ~newly
-    found = []
-    rest = newly
-    while rest:
-        low = rest & -rest
-        f = low.bit_length() - 1
-        rest ^= low
-        a, b = edges[f]
-        found.append((f, opens & ~below[pos[b if a == v else a] + 1]))
-    return newly, found
+    return odd[b] ^ odd[a + 1]
+
+
+def crossings(g: Graph, spine) -> list[int]:
+    """Per canonical edge of g, the mask of the edges crossing it on spine."""
+    inc = incidence(g.n, g.edges)
+    odd = [0]  # odd[x]: the edges with exactly one end among the first x
+    pos = [0] * g.n
+    for here, v in enumerate(spine):
+        odd.append(odd[-1] ^ inc[v])
+        pos[v] = here
+    return [
+        straddling(odd, *sorted((pos[u], pos[v]))) & ~(inc[u] | inc[v]) for u, v in g.edges
+    ]
 
 
 def validate(emb: BookEmbedding) -> ValidationReport:
@@ -138,23 +145,14 @@ def validate(emb: BookEmbedding) -> ValidationReport:
         by_page[page].append(edge)
 
     violations: list[Crossing | MatchingViolation] = []
-    inc = incidence(g.n, g.edges)
-    pos = [0] * g.n
-    below = [0]
-    closed = 0
-    for here, v in enumerate(emb.spine):
-        newly, found = closing_crossings(v, pos, below, closed, inc, g.edges)
-        for f, cross in found:
-            page = emb.pages[f]
-            cross &= on_page[page]
-            while cross:
-                low = cross & -cross
-                cross ^= low
-                ea, eb = sorted((g.edges[f], g.edges[low.bit_length() - 1]))
-                violations.append(Crossing(page, ea, eb))
-        pos[v] = here
-        closed |= newly
-        below.append(below[-1] | inc[v])
+    # each same-page pair once, from its lower-indexed edge
+    for i, cross in enumerate(crossings(g, emb.spine)):
+        page = emb.pages[i]
+        cross &= on_page[page] & -(2 << i)
+        while cross:
+            low = cross & -cross
+            cross ^= low
+            violations.append(Crossing(page, g.edges[i], g.edges[low.bit_length() - 1]))
     for page, edges in by_page.items():
         incident: dict[int, list[Edge]] = defaultdict(list)
         for edge in edges:

@@ -31,7 +31,7 @@ from .graphs import (
     is_regular,
     max_degree,
 )
-from .layout import BookEmbedding, closing_crossings, incidence
+from .layout import BookEmbedding, crossings, incidence, straddling
 
 FOUND = "found"
 INFEASIBLE = "infeasible"
@@ -49,12 +49,9 @@ class ColoringOutcome:
 
 
 def conflict_masks(g: Graph, spine: tuple[int, ...]) -> list[int]:
-    """Adjacency bitmasks of the page-conflict graph on g's canonical edges."""
-    search = _PrefixSearch(g, 0, 0, False, None)
-    state = search.root()
-    for v in spine:
-        state = search.place(state, v)[0]
-    return state[2]
+    """Adjacency bitmasks of the page-conflict graph on g's canonical edges:
+    the edges crossing each one on the spine or sharing an end with it."""
+    return [c | e for c, e in zip(crossings(g, spine), endpoint_conflict_masks(g))]
 
 
 def endpoint_conflict_masks(g: Graph) -> list[int]:
@@ -347,14 +344,13 @@ class _PrefixSearch:
     closed edge conflicts with an open edge whose placed end lies strictly
     between its ends. The decided conflicts hold in every completion, so
     when the kernel refutes them at k pages, every order below the prefix
-    is refuted. A full spine decides every pair: ``conflict_masks`` is
-    this placement folded over it.
+    is refuted. A full spine decides every pair, as ``conflict_masks``.
 
-    A state is (spine prefix, positions, masks, edges below each
-    position, edges closed); masks start from the shared-endpoint
-    conflicts, and each placement adds what ``closing_crossings`` decides.
-    A level is one search from the root, in this process, so its result
-    and counters do not depend on ``SolveOptions.jobs``.
+    A state is (spine prefix, positions, masks, parity masks ``odd``); masks
+    start from the shared-endpoint conflicts, and placing v adds, for each
+    edge it closes, the crossings ``layout.straddling`` decides that the
+    masks lack. A level is one search from the root, in this process, so
+    its result and counters do not depend on ``SolveOptions.jobs``.
     """
 
     def __init__(
@@ -373,31 +369,35 @@ class _PrefixSearch:
         self.unknown = False
 
     def root(self):
-        state = ((), [-1] * self.n, self.base, (0,), 0)
+        state = ((), [-1] * self.n, self.base, (0,))
         return self.place(state, 0)[0] if self.pinned else state
 
     def place(self, state, v: int):
         """The state extended by vertex v, and whether that decided a new
         conflict."""
-        spine, pos, masks, below, closed = state
-        newly, found = closing_crossings(v, pos, below, closed, self.inc, self.edges)
+        spine, pos, masks, odd = state
+        here = len(spine)
         pos = pos[:]
-        pos[v] = len(spine)
+        pos[v] = here
         changed = False
-        for f, cross in found:
-            if not cross:
+        rest = self.inc[v] & odd[-1]
+        while rest:
+            low = rest & -rest
+            f = low.bit_length() - 1
+            rest ^= low
+            a, b = self.edges[f]
+            new = straddling(odd, pos[b if a == v else a], here) & ~masks[f]
+            if not new:
                 continue
             if not changed:
                 masks = masks[:]
                 changed = True
-            masks[f] |= cross
-            low = 1 << f
-            while cross:
-                bit = cross & -cross
+            masks[f] |= new
+            while new:
+                bit = new & -new
                 masks[bit.bit_length() - 1] |= low
-                cross ^= bit
-        below += (below[-1] | self.inc[v],)
-        return (spine + (v,), pos, masks, below, closed | newly), changed
+                new ^= bit
+        return (spine + (v,), pos, masks, odd + (odd[-1] ^ self.inc[v],)), changed
 
     def leaves(self, spine: tuple[int, ...]) -> int:
         """Canonical spine orders that extend the prefix."""

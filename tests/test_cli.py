@@ -428,3 +428,32 @@ def test_cli_import_leaves_process_pool_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n") == ["False", "False []", ""]
+
+
+def _deep_text(kind, depth, embedding):
+    # 100,000 nested arrays, or product family tags nested inside each
+    # other's left factor; built as text, since json.dumps would recurse
+    if kind == "array":
+        text = "[" * depth + "]" * depth
+    else:
+        head = '{"n":1,"edges":[],"family":{"kind":"product","left":'
+        tail = ',"right":{"n":1,"edges":[]}}}'
+        text = head * depth + '{"n":1,"edges":[]}' + tail * depth
+    if embedding:
+        text = f'{{"type":"embedding","graph":{text},"spine":[0],"pages":[],"page_count":0}}'
+    return text
+
+
+@pytest.mark.parametrize("command", ["solve", "embed", "verify", "render"])
+@pytest.mark.parametrize("kind, depth", [("array", 100_000), ("product", 495)], ids=["array", "product"])
+def test_deeply_nested_document_is_a_format_error(capsys, tmp_path, kind, depth, command):
+    doc = tmp_path / "deep.json"
+    doc.write_text(_deep_text(kind, depth, embedding=command in ("verify", "render")))
+    args = [command, str(doc)]
+    if command == "verify":
+        gp = tmp_path / "g.json"
+        save_graph(Graph(1, ()), gp)
+        args = [command, str(gp), str(doc)]
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("format error: ") and len(err.strip().splitlines()) == 1

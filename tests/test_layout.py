@@ -10,10 +10,10 @@ from matchbook.layout import (
     MalformedEmbeddingError,
     MatchingViolation,
     check_structure,
-    closing_crossings,
     incidence,
     reflect_spine,
     rotate_spine,
+    straddling,
     validate,
 )
 from matchbook.solver import first_fit_pages
@@ -25,7 +25,7 @@ SPINE4 = (0, 1, 2, 3)
 
 
 def _crosses(spine, e1, e2) -> bool:
-    """Whether e1 and e2 interleave on spine, by folding closing_crossings.
+    """Whether e1 and e2 interleave on spine, by the rule ``straddling``.
 
     The edges are passed in the given order and orientation, so the rule
     itself is exercised, not the canonical storage of Graph.
@@ -33,17 +33,16 @@ def _crosses(spine, e1, e2) -> bool:
     edges = (e1, e2)
     inc = incidence(len(spine), edges)
     pos = [0] * len(spine)
-    below = [0]
-    closed = 0
-    pairs = 0
+    odd = [0]
     for here, v in enumerate(spine):
-        newly, found = closing_crossings(v, pos, below, closed, inc, edges)
-        pairs += sum(bin(cross).count("1") for _, cross in found)
         pos[v] = here
-        closed |= newly
-        below.append(below[-1] | inc[v])
-    assert pairs <= 1  # a crossing pair is reported once, not twice
-    return pairs == 1
+        odd.append(odd[-1] ^ inc[v])
+    seen = []
+    for u, v in edges:
+        a, b = sorted((pos[u], pos[v]))
+        seen.append(straddling(odd, a, b) & ~(inc[u] | inc[v]))
+    assert seen in ([0, 0], [0b10, 0b01])  # the rule is symmetric
+    return seen == [0b10, 0b01]
 
 
 def _validate_crosses(spine, e1, e2) -> bool:

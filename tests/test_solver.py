@@ -180,13 +180,17 @@ def test_first_fit_is_valid():
         assert validate_pages(g, range(g.n), pages)
 
 
-def test_first_fit_on_the_k20c21_snake_spine_is_near_linear():
-    # m = 4,410; pairwise conflict and crossing loops took 1.5 s here
-    emb = kpcq_embedding(20, 21).embedding
+@pytest.mark.parametrize(
+    "p, q, limit", [(20, 21, 0.75), (30, 31, 1.0)], ids=["K20xC21", "K30xC31"]
+)
+def test_first_fit_on_the_k20c21_snake_spine_is_near_linear(p, q, limit):
+    # m = 4,410 and 14,415; a loop per conflicting or crossing pair of edges
+    # in the shell does not fit these limits
+    emb = kpcq_embedding(p, q).embedding
     start = time.perf_counter()
     pages = first_fit_pages(emb.graph, emb.spine)
     valid = validate_pages(emb.graph, emb.spine, pages)
-    assert time.perf_counter() - start < 0.75
+    assert time.perf_counter() - start < limit
     assert valid
 
 
@@ -417,12 +421,18 @@ def test_timeout_bounds_the_lower_bound():
     assert res.value == res.witness.page_count and validate(res.witness).valid
 
 
-def test_timeout_bounds_a_search_without_kernel_calls():
+@pytest.mark.parametrize(
+    "p, q, timeout, limit", [(3, 151, 1, 3), (30, 31, 0.5, 1.25)], ids=["K3xC151", "K30xC31"]
+)
+def test_timeout_bounds_a_search_without_kernel_calls(p, q, timeout, limit):
     # most placements on K3xC151 decide no new conflict, so the search
-    # descends on its parent's verdict without calling the kernel
+    # descends on its parent's verdict without calling the kernel; on
+    # K30xC31 (m = 14,415) the greedy upper bound, built before the first
+    # deadline check, must itself stay well inside the budget
+    g = kpcq(p, q)
     start = time.monotonic()
-    res = exact_mbt(kpcq(3, 151), SolveOptions(timeout_s=1))
-    assert time.monotonic() - start < 3
+    res = exact_mbt(g, SolveOptions(timeout_s=timeout))
+    assert time.monotonic() - start < limit
     assert res.stats.timed_out and not res.exhaustive
     assert res.value == res.witness.page_count and validate(res.witness).valid
 
