@@ -14,15 +14,7 @@ import sys
 from pathlib import Path
 
 from . import constructions, formats, render, solver
-from .graphs import (
-    cartesian_product,
-    complete,
-    complete_bipartite,
-    cycle,
-    hypercube,
-    kpcq,
-    path,
-)
+from .graphs import FAMILIES, cartesian_product
 from .layout import Crossing, validate
 
 EXIT_OK = 0
@@ -80,32 +72,20 @@ def _solve_options(args) -> solver.SolveOptions:
 
 
 def _cmd_gen(args) -> int:
-    family = args.family
-    need = lambda flag, val: val if val is not None else _missing(flag, family)
-    if family == "complete":
-        g = complete(need("--n", args.n))
-    elif family == "cycle":
-        g = cycle(need("--n", args.n))
-    elif family == "path":
-        g = path(need("--n", args.n))
-    elif family == "complete-bipartite":
-        g = complete_bipartite(need("--a", args.a), need("--b", args.b))
-    elif family == "hypercube":
-        g = hypercube(need("--d", args.d))
-    elif family == "kpcq":
-        g = kpcq(need("--p", args.p), need("--q", args.q))
-    elif family == "product-of-files":
-        left = formats.load_graph(need("--left", args.left))
-        right = formats.load_graph(need("--right", args.right))
-        g = cartesian_product(left, right)
-    else:  # argparse choices guard this
-        raise ValueError(f"unknown family {family}")
+    if args.family == "product-of-files":
+        g = cartesian_product(*(formats.load_graph(_flag(args, f)) for f in ("left", "right")))
+    else:
+        build, flags, _ = FAMILIES[args.family]
+        g = build(*(_flag(args, f) for f in flags))
     _emit(args, formats.graph_to_dict(g), {"name": g.name, "n": g.n, "edges": g.m})
     return EXIT_OK
 
 
-def _missing(flag: str, family: str):
-    raise ValueError(f"{flag} is required for family {family}")
+def _flag(args, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"--{name} is required for family {args.family}")
+    return value
 
 
 # embed
@@ -222,25 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     gen = sub.add_parser("gen", help="generate a graph file")
-    gen.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "complete",
-            "cycle",
-            "path",
-            "complete-bipartite",
-            "hypercube",
-            "kpcq",
-            "product-of-files",
-        ],
-    )
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--a", type=int)
-    gen.add_argument("--b", type=int)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--p", type=int)
-    gen.add_argument("--q", type=int)
+    gen.add_argument("--family", required=True, choices=[*FAMILIES, "product-of-files"])
+    for flag in dict.fromkeys(f for _, flags, _ in FAMILIES.values() for f in flags):
+        gen.add_argument(f"--{flag}", type=int)
     gen.add_argument("--left", help="left factor graph file (product-of-files)")
     gen.add_argument("--right", help="right factor graph file (product-of-files)")
     _add_io_flags(gen)

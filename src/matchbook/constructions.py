@@ -4,9 +4,12 @@ Covers complete graphs (congruence pages: edge (a, b) on page (a+b) mod p
 gives parallel, noncrossing chords), dispersable witnesses for paths and
 even cycles, the block-copy product construction, and a direct snake-grid
 scheme that embeds a complete graph stacked over an odd cycle in exactly
-max degree + 1 pages. ``SCHEMES`` is the one table of schemes, and every
-embedding is validated once in ``construct`` before it is returned; the
-constructors themselves check only the embeddings a caller hands them.
+max degree + 1 pages (over an even cycle, the product construction does
+the same). ``SCHEMES`` is the one map from a family tag to a scheme:
+``kpcq_embedding`` and a product's right-factor witness are both a
+graph's ``auto`` embedding. Every embedding is validated once in
+``construct`` before it is returned; the constructors themselves check
+only the embeddings a caller hands them.
 """
 
 from __future__ import annotations
@@ -38,11 +41,15 @@ SCHEME_SOLVER = "solver"
 
 
 class ConstructionError(RuntimeError):
-    """A construction produced an invalid embedding."""
+    """A construction produced an invalid embedding, or none."""
 
     def __init__(self, message: str, report: ValidationReport | None = None):
         super().__init__(message)
         self.report = report
+
+
+class SearchExhausted(ConstructionError):
+    """The exact solver found no embedding within its page cap."""
 
 
 class ConstructionUnresolved(Exception):
@@ -200,41 +207,26 @@ def _direct_page(p: int, q: int, u: int, v: int) -> int:
 
 
 def kpcq_embedding(p: int, q: int) -> ConstructionOutcome:
-    """Max-degree-plus-one embedding of K_p over C_q, dispatching on parity.
-
-    Even cycles are dispersable, so even q goes through the product
-    construction on top of the congruence embedding; odd q uses the direct
-    snake scheme.
-    """
-    if p < 3 or q < 3:
-        raise ValueError("p >= 3 and q >= 3 required")
-    if q % 2 == 0:
-        emb = product_embedding(complete_embedding(p), even_cycle_embedding(q // 2))
-        return ConstructionOutcome(replace(emb, graph=kpcq(p, q)), SCHEME_KPCQ_EVEN)
-    g = kpcq(p, q)
-    pages = tuple(_direct_page(p, q, u, v) for u, v in g.edges)
-    return ConstructionOutcome(BookEmbedding(g, _snake_spine(p, q), pages, p + 2), SCHEME_KPCQ_ODD)
+    """Max-degree-plus-one embedding of K_p over C_q by its ``auto`` scheme."""
+    return construct(kpcq(p, q), "auto")
 
 
 def witness_for(b: Graph, opts: solver.SolveOptions | None = None) -> DispersableWitness | None:
-    """Dispersable witness for b, by family scheme or exact search.
+    """Dispersable witness for b: its ``auto`` embedding, when that has
+    max-degree pages, with b's 2-colouring.
 
     Returns None when b is not bipartite or no max-degree embedding was
     found, since only dispersable bipartite graphs can play the second
     factor of the product construction.
     """
-    fam = b.family
-    if fam and fam[0] == "cycle" and fam[1] % 2 == 0:
-        return even_cycle_embedding(fam[1] // 2)
-    if fam and fam[0] == "path" and fam[1] >= 2:
-        return path_witness(fam[1])
     part = bipartition(b)
     if not part.is_bipartite:
         return None
-    res = solver.exact_mbt(b, opts)
-    if res.value is not None and res.witness is not None and res.value == max_degree(b):
-        return make_witness(res.witness, part.coloring)
-    return None
+    try:
+        emb = auto_embedding(b, opts).embedding
+    except SearchExhausted:
+        return None
+    return DispersableWitness(emb, part.coloring) if emb.page_count == max_degree(b) else None
 
 
 def _product(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
@@ -248,14 +240,27 @@ def _product(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
     return replace(emb, graph=g) if emb.graph == g else emb
 
 
-def _kpcq(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
-    return kpcq_embedding(*g.family[1:]).embedding
+# each kpcq builder regenerates the graph from the tag, so a false tag embeds
+# another graph, which construct reports
+def _kpcq_odd(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
+    _, p, q = g.family
+    g = kpcq(p, q)
+    pages = tuple(_direct_page(p, q, u, v) for u, v in g.edges)
+    return BookEmbedding(g, _snake_spine(p, q), pages, p + 2)
+
+
+def _kpcq_even(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
+    # even cycles are dispersable: the product construction on top of the
+    # congruence embedding
+    _, p, q = g.family
+    emb = product_embedding(complete_embedding(p), even_cycle_embedding(q // 2))
+    return replace(emb, graph=kpcq(p, q))
 
 
 def _solve(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
     res = solver.exact_mbt(g, opts)
     if res.value is None or res.witness is None:
-        raise ConstructionError("exact search did not produce an embedding")
+        raise SearchExhausted("exact search did not produce an embedding")
     return res.witness
 
 
@@ -271,8 +276,8 @@ SCHEMES = {
         lambda g, opts: even_cycle_embedding(g.family[1] // 2).embedding,
     ),
     SCHEME_PATH: (_family("path", lambda n: n >= 2), lambda g, opts: path_witness(g.family[1]).embedding),
-    SCHEME_KPCQ_ODD: (_family("kpcq", lambda p, q: q % 2 == 1), _kpcq),
-    SCHEME_KPCQ_EVEN: (_family("kpcq", lambda p, q: q % 2 == 0), _kpcq),
+    SCHEME_KPCQ_ODD: (_family("kpcq", lambda p, q: q % 2 == 1), _kpcq_odd),
+    SCHEME_KPCQ_EVEN: (_family("kpcq", lambda p, q: q % 2 == 0), _kpcq_even),
     SCHEME_PRODUCT: (_family("product"), _product),
     SCHEME_SOLVER: (lambda fam: True, _solve),
 }

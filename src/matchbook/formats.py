@@ -3,12 +3,15 @@
 A graph file holds name, n and the sorted edge list; an embedding file
 holds the graph inline plus the spine and the page array parallel to the
 canonical edge order. Parsers reject duplicate edges, out-of-range
-indices, non-permutation spines and non-contiguous page indices, each
-with its own diagnostic. A family tag is trusted by the constructions,
-so it must name a known generator with the right number of arguments,
-agree with the document's n and m in closed form, and then regenerate
-exactly the document's edges; the size check comes first, so a tag that
-claims a huge graph is rejected without building it.
+indices, non-permutation spines, page indices outside 0..page_count-1
+and a page_count other than the largest page index plus one (so unused
+pages below it are allowed), each with its own diagnostic. A family tag
+is trusted by the constructions, so it must name a kind of
+``graphs.FAMILIES`` with its number of arguments, or be a product of two
+factor graphs nested at most ``MAX_PRODUCT_DEPTH`` product tags deep; it
+must agree with the document's n and m in closed form, and then
+regenerate exactly the document's edges. The size check comes first, so
+a tag that claims a huge graph is rejected without building it.
 """
 
 from __future__ import annotations
@@ -17,18 +20,11 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graphs import (
-    Graph,
-    cartesian_product,
-    complete,
-    complete_bipartite,
-    cycle,
-    hypercube,
-    kpcq,
-    path,
-    product_labels,
-)
+from .graphs import FAMILIES, Graph, cartesian_product, n_left, product_labels
 from .layout import BookEmbedding, MalformedEmbeddingError, check_structure
+
+
+MAX_PRODUCT_DEPTH = 64
 
 
 class FormatError(ValueError):
@@ -52,19 +48,6 @@ def _family_to_json(fam: tuple | None):
     return {"kind": fam[0], "args": list(fam[1:])}
 
 
-# kind -> (argument count, generator, closed-form (n, m) of its graph)
-_FAMILIES = {
-    "complete": (1, complete, lambda p: (p, p * (p - 1) // 2)),
-    "cycle": (1, cycle, lambda q: (q, q)),
-    "path": (1, path, lambda n: (n, n - 1)),
-    "complete-bipartite": (2, complete_bipartite, lambda a, b: (a + b, a * b)),
-    # no document holds the 64 * 2**63 edges of Q64, so a larger d never
-    # matches and 2**d need not be computed
-    "hypercube": (1, hypercube, lambda d: (1 << d, d << d >> 1) if 0 <= d <= 64 else None),
-    "kpcq": (2, kpcq, lambda p, q: (p * q, p * q * (p + 1) // 2)),
-}
-
-
 def _check_family(g: Graph) -> None:
     """Raises FormatError unless g's family tag describes g exactly."""
     if g.family is None:
@@ -75,9 +58,9 @@ def _check_family(g: Graph) -> None:
         label, build = "product", cartesian_product
         size = (left.n * right.n, left.m * right.n + right.m * left.n)
     else:
-        arity, build, closed_form = _FAMILIES[kind]
-        if len(args) != arity:
-            raise FormatError(f"family {kind} takes {arity} argument(s), got {len(args)}")
+        build, flags, closed_form = FAMILIES[kind]
+        if len(args) != len(flags):
+            raise FormatError(f"family {kind} takes {len(flags)} argument(s), got {len(args)}")
         label = f"{kind}({', '.join(map(str, args))})"
         size = closed_form(*args)
     if size != (g.n, g.m):
@@ -90,15 +73,17 @@ def _check_family(g: Graph) -> None:
         raise FormatError(f"family {label} edges differ from the graph's")
 
 
-def _family_from_json(doc) -> tuple | None:
+def _family_from_json(doc, depth: int) -> tuple | None:
     if doc is None:
         return None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError("family must be an object with a 'kind' field")
     kind = doc["kind"]
     if kind == "product":
-        return ("product", parse_graph_dict(doc.get("left")), parse_graph_dict(doc.get("right")))
-    if not isinstance(kind, str) or kind not in _FAMILIES:
+        if depth >= MAX_PRODUCT_DEPTH:
+            raise FormatError(f"product family tags are nested more than {MAX_PRODUCT_DEPTH} deep")
+        return ("product", *(parse_graph_dict(doc.get(side), depth + 1) for side in ("left", "right")))
+    if not isinstance(kind, str) or kind not in FAMILIES:
         raise FormatError(f"unknown family kind {kind!r}")
     args = doc.get("args", [])
     if not (isinstance(args, list) and all(_is_int(a) for a in args)):
@@ -116,15 +101,15 @@ def graph_to_dict(g: Graph) -> dict:
     fam = _family_to_json(g.family)
     if fam is not None:
         doc["family"] = fam
-    if g.family and g.family[0] in ("product", "kpcq"):
-        n_left = g.family[1].n if g.family[0] == "product" else g.family[1]
-        doc["product_labels"] = [
-            [lab.left, lab.right] for lab in product_labels(n_left, g.n // n_left)
-        ]
+    block = n_left(g)
+    if block:
+        doc["product_labels"] = [[lab.left, lab.right] for lab in product_labels(block, g.n // block)]
     return doc
 
 
-def parse_graph_dict(doc) -> Graph:
+def parse_graph_dict(doc, depth: int = 0) -> Graph:
+    """The graph a document holds; ``depth`` counts the product tags it is
+    nested in."""
     if not isinstance(doc, dict):
         raise FormatError("graph document must be a JSON object")
     n = doc.get("n")
@@ -142,7 +127,7 @@ def parse_graph_dict(doc) -> Graph:
     if not isinstance(name, str):
         raise FormatError("field 'name' must be a string")
     try:
-        g = Graph(n, tuple(pairs), name=name, family=_family_from_json(doc.get("family")))
+        g = Graph(n, tuple(pairs), name=name, family=_family_from_json(doc.get("family"), depth))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     _check_family(g)

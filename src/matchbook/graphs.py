@@ -5,6 +5,8 @@ sorted tuples in lexicographic order, which makes structural equality and
 parallel arrays (such as page assignments) unambiguous. Graph values are
 immutable and hashable; generators attach a ``family`` tag so the CLI can
 recognise where a graph came from without any isomorphism testing.
+``FAMILIES`` is the one table of the tagged generators: the CLI's ``gen``
+builds from it and the file formats check tags against it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "hypercube",
     "cartesian_product",
     "kpcq",
+    "FAMILIES",
     "delete_edge",
     "adjacency",
     "degrees",
@@ -36,6 +39,7 @@ __all__ = [
     "is_connected",
     "bipartition",
     "product_labels",
+    "n_left",
     "vertex_labels",
 ]
 
@@ -258,18 +262,39 @@ def kpcq(p: int, q: int) -> Graph:
     return Graph(prod.n, prod.edges, name=prod.name, family=("kpcq", p, q))
 
 
+# kind -> (generator, its `gen` flags, closed-form (n, m) of its graph); the
+# product, tagged with its factor graphs, is built by cartesian_product
+FAMILIES = {
+    "complete": (complete, ("n",), lambda p: (p, p * (p - 1) // 2)),
+    "cycle": (cycle, ("n",), lambda q: (q, q)),
+    "path": (path, ("n",), lambda n: (n, n - 1)),
+    "complete-bipartite": (complete_bipartite, ("a", "b"), lambda a, b: (a + b, a * b)),
+    # no document holds the 64 * 2**63 edges of Q64, so a larger d never
+    # matches and 2**d need not be computed
+    "hypercube": (hypercube, ("d",), lambda d: (1 << d, d << d >> 1) if 0 <= d <= 64 else None),
+    "kpcq": (kpcq, ("p", "q"), lambda p, q: (p * q, p * q * (p + 1) // 2)),
+}
+
+
 def product_labels(n_left: int, n_right: int) -> tuple[ProductLabel, ...]:
     """Label table in vertex-id order for a row-major product."""
     return tuple(ProductLabel(v % n_left, v // n_left) for v in range(n_left * n_right))
 
 
+def n_left(g: Graph) -> int | None:
+    """Block size of a product-tagged graph (its left factor's vertex
+    count), or None for any other tag."""
+    fam = g.family
+    if fam and fam[0] == "product":
+        return fam[1].n
+    return fam[1] if fam and fam[0] == "kpcq" else None
+
+
 def vertex_labels(g: Graph) -> tuple[str, ...]:
     """Display labels: grid coordinates for products, bit strings for cubes."""
-    fam = g.family
-    if fam:
-        if fam[0] in ("product", "kpcq"):
-            n_left = fam[1].n if fam[0] == "product" else fam[1]
-            return tuple(f"u{v // n_left + 1}v{v % n_left + 1}" for v in range(g.n))
-        if fam[0] == "hypercube" and fam[1] > 0:
-            return tuple(format(v, f"0{fam[1]}b") for v in range(g.n))
+    block = n_left(g)
+    if block:
+        return tuple(f"u{v // block + 1}v{v % block + 1}" for v in range(g.n))
+    if g.family and g.family[0] == "hypercube" and g.family[1] > 0:
+        return tuple(format(v, f"0{g.family[1]}b") for v in range(g.n))
     return tuple(str(v) for v in range(g.n))

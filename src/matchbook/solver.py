@@ -420,31 +420,46 @@ class _PrefixSearch:
             raise _Timeout
         return out
 
-    def visit(self, state, out: ColoringOutcome | None):
-        """Searches the orders below the state's prefix and returns the
-        earliest feasible (spine, pages), or None. ``out`` is the kernel's
-        verdict on the parent's masks when these are the same."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Timeout
-        spine = state[0]
-        if out is None:
-            out = self.kernel(state[2])
-        if out.status == INFEASIBLE:
-            self.settled += self.leaves(spine)
-            return None
-        if len(spine) == self.n:
-            self.settled += 1
-            if out.status == FOUND:
-                return spine, out.colors
-            self.unknown = True
-            return None
-        for v in range(self.n):
-            if state[1][v] < 0 and self.leaves(spine + (v,)):
-                child, changed = self.place(state, v)
-                found = self.visit(child, None if changed else out)
-                if found is not None:
-                    return found
-        return None
+    def run(self):
+        """Searches the orders below the root and returns the earliest
+        feasible (spine, pages), or None.
+
+        The search keeps its own stack of [state, the kernel's verdict on
+        its masks, next vertex to try], so its depth (up to the vertex
+        count) is not bounded by Python's recursion limit. A child whose
+        placement decided no new conflict inherits its parent's verdict.
+        """
+        n = self.n
+        stack: list[list] = []
+        state, out = self.root(), None
+        while True:
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise _Timeout
+            spine = state[0]
+            if out is None:
+                out = self.kernel(state[2])
+            if out.status == INFEASIBLE:
+                self.settled += self.leaves(spine)
+            elif len(spine) == n:
+                self.settled += 1
+                if out.status == FOUND:
+                    return spine, out.colors
+                self.unknown = True
+            else:
+                stack.append([state, out, 0])
+            while stack:
+                frame = stack[-1]
+                parent, v = frame[0], frame[2]
+                while v < n and not (parent[1][v] < 0 and self.leaves(parent[0] + (v,))):
+                    v += 1
+                if v < n:
+                    frame[2] = v + 1
+                    state, changed = self.place(parent, v)
+                    out = None if changed else frame[1]
+                    break
+                stack.pop()
+            else:
+                return None
 
 
 def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, stats: SolveStats):
@@ -457,7 +472,7 @@ def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, st
     """
     search = _PrefixSearch(g, k, opts.order_nodes, opts.symmetry, deadline)
     try:
-        return search.visit(search.root(), None), search.unknown
+        return search.run(), search.unknown
     finally:
         stats.nodes += search.nodes
         stats.orders_tested += search.settled

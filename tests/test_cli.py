@@ -18,7 +18,7 @@ from matchbook.formats import (
     save_embedding,
     save_graph,
 )
-from matchbook.graphs import Graph, complete, cycle, delete_edge, kpcq, path
+from matchbook.graphs import FAMILIES, Graph, complete, complete_bipartite, cycle, delete_edge, kpcq, path
 from matchbook.layout import BookEmbedding, validate
 
 
@@ -59,6 +59,30 @@ def test_gen_bad_params(capsys):
     assert code == 2
     code, _, _ = run(capsys, "gen", "--family", "nosuch", "--n", "3")
     assert code == 2
+
+
+# small arguments for every kind of the family table
+SMALL_FAMILY_ARGS = {
+    "complete": [(1,), (2,), (5,)],
+    "cycle": [(3,), (6,)],
+    "path": [(1,), (2,), (5,)],
+    "complete-bipartite": [(1, 1), (2, 3)],
+    "hypercube": [(0,), (1,), (3,)],
+    "kpcq": [(3, 3), (4, 6)],
+}
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_gen_builds_every_family_of_the_table(capsys, tmp_path, kind):
+    _, flags, closed_form = FAMILIES[kind]
+    for args in SMALL_FAMILY_ARGS[kind]:
+        gp = tmp_path / "g.json"
+        argv = [x for flag, arg in zip(flags, args) for x in (f"--{flag}", str(arg))]
+        code, out, _ = run(capsys, "gen", "--family", kind, *argv, "-o", str(gp))
+        assert code == 0, (kind, args)
+        g = load_graph(gp)
+        assert g.family == (kind, *args)
+        assert closed_form(*args) == (g.n, g.m) == (json.loads(out)["n"], json.loads(out)["edges"])
 
 
 def test_embed_and_verify_kpcq(capsys, tmp_path):
@@ -345,6 +369,24 @@ def test_embed_unresolved_and_fallback_solver(capsys, tmp_path):
     assert doc["scheme"] == "solver" and doc["page_count"] == 4
 
 
+def test_product_scheme_under_a_page_cap_below_the_witness_is_unresolved(capsys, tmp_path):
+    # K3,3 needs its max degree, 3 pages, to be a witness; under a cap of 2
+    # the product scheme has none, which is unresolved, not an error
+    left, right, gp = (tmp_path / n for n in ("l.json", "r.json", "g.json"))
+    save_graph(complete(5), left)
+    save_graph(Graph(6, complete_bipartite(3, 3).edges, name="K3,3"), right)
+    assert run(
+        capsys, "gen", "--family", "product-of-files",
+        "--left", str(left), "--right", str(right), "-o", str(gp),
+    )[0] == 0
+    code, out, err = run(
+        capsys, "embed", str(gp), "--method", "construction:product-lemma2.5", "--max-pages", "2"
+    )
+    assert code == 1
+    assert json.loads(out) == {"unresolved": True, "reason": "right factor admits no dispersable witness"}
+    assert err.startswith("unresolved by construction")
+
+
 def test_boolean_edge_endpoint_is_usage_error(capsys, tmp_path):
     gp = tmp_path / "g.json"
     gp.write_text('{"type": "graph", "n": 3, "edges": [[0, true], [1, 2]]}')
@@ -445,7 +487,11 @@ def _deep_text(kind, depth, embedding):
 
 
 @pytest.mark.parametrize("command", ["solve", "embed", "verify", "render"])
-@pytest.mark.parametrize("kind, depth", [("array", 100_000), ("product", 495)], ids=["array", "product"])
+@pytest.mark.parametrize(
+    "kind, depth",
+    [("array", 100_000), ("product", 495), ("product", 400)],
+    ids=["array", "product", "product400"],
+)
 def test_deeply_nested_document_is_a_format_error(capsys, tmp_path, kind, depth, command):
     doc = tmp_path / "deep.json"
     doc.write_text(_deep_text(kind, depth, embedding=command in ("verify", "render")))

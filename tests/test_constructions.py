@@ -18,6 +18,7 @@ from matchbook.constructions import (
 )
 from matchbook.graphs import (
     Graph,
+    cartesian_product,
     complete,
     complete_bipartite,
     cycle,
@@ -232,6 +233,18 @@ def test_witness_for():
     w = witness_for(complete_bipartite(3, 3))
     assert w is not None and w.embedding.page_count == 3
     assert witness_for(cycle(5)) is None  # odd cycle is not bipartite
+
+
+def test_witness_for_a_bipartite_product_takes_the_product_scheme(monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the exact solver ran")
+
+    monkeypatch.setattr(cons.solver, "exact_mbt", no_solver)
+    b = cartesian_product(cycle(4), path(3))
+    w = witness_for(b)
+    assert w is not None and w.embedding.page_count == max_degree(b) == 4
+    assert w.embedding.graph == b and validate(w.embedding).valid
+    assert all(w.coloring[u] != w.coloring[v] for u, v in b.edges)
 
 
 def test_auto_embedding_routes():

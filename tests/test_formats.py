@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from matchbook.cli import main
 from matchbook.constructions import complete_embedding, kpcq_embedding
 from matchbook.formats import (
+    MAX_PRODUCT_DEPTH,
     FormatError,
     dumps,
     embedding_to_dict,
@@ -386,3 +387,18 @@ def test_embedding_of_a_huge_graph_is_rejected_by_spine_length():
     doc = {"graph": {"n": 2**64, "edges": []}, "spine": [], "pages": [], "page_count": 0}
     with pytest.raises(FormatError, match="not a permutation"):
         parse_embedding_dict(doc)
+
+
+def test_product_tags_nest_at_most_max_depth():
+    g = Graph(1)
+    for _ in range(MAX_PRODUCT_DEPTH):
+        g = cartesian_product(g, Graph(1))
+    doc = graph_to_dict(g)
+    assert parse_graph_dict(doc).family[0] == "product"
+    deeper = {"n": 1, "edges": [], "family": {"kind": "product", "left": doc, "right": {"n": 1, "edges": []}}}
+    with pytest.raises(FormatError, match=f"nested more than {MAX_PRODUCT_DEPTH} deep"):
+        parse_graph_dict(deeper)
+    # the right factor's nesting counts as much as the left's
+    deeper["family"]["left"], deeper["family"]["right"] = deeper["family"]["right"], doc
+    with pytest.raises(FormatError, match="nested more than"):
+        parse_graph_dict(deeper)

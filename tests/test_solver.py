@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from itertools import islice, permutations
 from math import factorial
@@ -560,3 +561,20 @@ def test_scan_stats_do_not_depend_on_jobs(g, symmetry):
     assert not a.timed_out and not b.timed_out
     assert sum(a.per_level.values()) == a.orders_tested
 
+
+
+def test_prefix_search_depth_is_not_bounded_by_the_recursion_limit():
+    # the first feasible order of K3xC51 is reached at prefix depth 153; the
+    # search must get there with little more stack than the caller's
+    g = kpcq(3, 51)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        res = exact_mbt(g, SolveOptions(timeout_s=60))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.value == 5 and res.exhaustive and not res.stats.timed_out
+    assert validate(res.witness).valid
