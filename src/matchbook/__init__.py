@@ -5,6 +5,10 @@ spine) and assigns every edge to a page so that same-page edges neither
 cross nor share a vertex. The matching book thickness is the least number
 of pages any such embedding needs; it is bounded below by the chromatic
 index and, for regular graphs with an odd cycle, by max degree + 1.
+
+The names below are the ones callers use. Helpers that only check them,
+such as the spine-order enumeration and spine rotation, are test oracles
+outside the package.
 """
 
 from .constructions import (
@@ -49,8 +53,6 @@ from .layout import (
     MalformedEmbeddingError,
     MatchingViolation,
     ValidationReport,
-    reflect_spine,
-    rotate_spine,
     validate,
 )
 from .solver import (

@@ -23,7 +23,7 @@ EXIT_USAGE = 2
 
 
 def _err(args, message: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(message, file=sys.stderr)
 
 
@@ -61,10 +61,10 @@ def _report_to_dict(rep) -> dict:
 
 def _solve_options(args) -> solver.SolveOptions:
     return solver.SolveOptions(
-        max_pages=getattr(args, "max_pages", None),
-        timeout_s=getattr(args, "timeout", 600.0),
-        jobs=getattr(args, "jobs", 1),
-        symmetry=not getattr(args, "no_symmetry", False),
+        max_pages=args.max_pages,
+        timeout_s=args.timeout,
+        jobs=args.jobs,
+        symmetry=not args.no_symmetry,
     )
 
 
@@ -73,7 +73,8 @@ def _solve_options(args) -> solver.SolveOptions:
 
 def _cmd_gen(args) -> int:
     if args.family == "product-of-files":
-        g = cartesian_product(*(formats.load_graph(_flag(args, f)) for f in ("left", "right")))
+        # a factor sits one product tag deeper than in its own file
+        g = cartesian_product(*(formats.load_graph(_flag(args, f), 1) for f in ("left", "right")))
     else:
         build, flags, _ = FAMILIES[args.family]
         g = build(*(_flag(args, f) for f in flags))
@@ -105,11 +106,9 @@ def _cmd_embed(args) -> int:
         else:
             raise ValueError(f"unknown method {method!r}")
     except constructions.ConstructionUnresolved as exc:
-        if not args.fallback_solver:
-            _err(args, f"unresolved by construction: {exc}")
-            print(json.dumps({"unresolved": True, "reason": str(exc)}, indent=2))
-            return EXIT_UNSOLVED
-        outcome = constructions.construct(g, constructions.SCHEME_SOLVER, opts)
+        _err(args, f"unresolved by construction: {exc}")
+        print(json.dumps({"unresolved": True, "reason": str(exc)}, indent=2))
+        return EXIT_UNSOLVED
 
     emb = outcome.embedding
     doc = formats.embedding_to_dict(emb, outcome.scheme)
@@ -182,8 +181,9 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _add_io_flags(sp) -> None:
-    sp.add_argument("-o", "--output", default=None, help="write the artifact to this path")
+def _add_io_flags(sp, output: bool = True) -> None:
+    if output:
+        sp.add_argument("-o", "--output", default=None, help="write the artifact to this path")
     sp.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
 
 
@@ -218,11 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="auto, solver, or construction:<scheme> for a scheme in "
         + ", ".join(constructions.SCHEMES),
     )
-    embed.add_argument(
-        "--fallback-solver",
-        action="store_true",
-        help="run the exact solver when no construction resolves",
-    )
     _add_solver_flags(embed)
     _add_io_flags(embed)
     embed.set_defaults(handler=_cmd_embed)
@@ -230,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="validate an embedding against a graph")
     verify.add_argument("graph")
     verify.add_argument("embedding")
-    _add_io_flags(verify)
+    _add_io_flags(verify, output=False)
     verify.set_defaults(handler=_cmd_verify)
 
     solve = sub.add_parser("solve", help="exact matching book thickness")

@@ -48,12 +48,9 @@ class ConstructionError(RuntimeError):
         self.report = report
 
 
-class SearchExhausted(ConstructionError):
-    """The exact solver found no embedding within its page cap."""
-
-
 class ConstructionUnresolved(Exception):
-    """No proven construction applies; the exact solver is the way forward."""
+    """No embedding here: a construction does not apply to this graph, or
+    the exact solver found none within its page cap."""
 
 
 @dataclass(frozen=True)
@@ -224,7 +221,7 @@ def witness_for(b: Graph, opts: solver.SolveOptions | None = None) -> Dispersabl
         return None
     try:
         emb = auto_embedding(b, opts).embedding
-    except SearchExhausted:
+    except ConstructionUnresolved:
         return None
     return DispersableWitness(emb, part.coloring) if emb.page_count == max_degree(b) else None
 
@@ -259,8 +256,8 @@ def _kpcq_even(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
 
 def _solve(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
     res = solver.exact_mbt(g, opts)
-    if res.value is None or res.witness is None:
-        raise SearchExhausted("exact search did not produce an embedding")
+    if res.witness is None:
+        raise ConstructionUnresolved(f"exact search found no embedding in {opts.max_pages} pages or fewer")
     return res.witness
 
 
@@ -288,8 +285,10 @@ def construct(g: Graph, scheme: str, opts: solver.SolveOptions | None = None) ->
 
     The result is checked to embed g itself and to pass ``validate``;
     either failure is a ConstructionError. Under "auto" a scheme that
-    cannot resolve g falls through to the exact solver. A disconnected g
-    is a ValueError before any scheme runs.
+    cannot resolve g falls through to the exact solver, which runs once:
+    when the solver itself finds nothing under the page cap, the
+    ConstructionUnresolved propagates. A disconnected g is a ValueError
+    before any scheme runs.
     """
     if not is_connected(g):
         raise ValueError(f"{g.name} is not connected; an embedding requires a connected graph")
@@ -298,6 +297,8 @@ def construct(g: Graph, scheme: str, opts: solver.SolveOptions | None = None) ->
         try:
             emb = SCHEMES[scheme][1](g, opts)
         except ConstructionUnresolved:
+            if scheme == SCHEME_SOLVER:
+                raise
             scheme, emb = SCHEME_SOLVER, _solve(g, opts)
     elif scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; known: auto, {', '.join(SCHEMES)}")

@@ -188,16 +188,17 @@ def _parse(parse, text: str):
         raise FormatError("document is nested too deeply") from None
 
 
-def parse_graph_text(text: str) -> Graph:
-    return _parse(parse_graph_dict, text)
+def parse_graph_text(text: str, depth: int = 0) -> Graph:
+    return _parse(lambda doc: parse_graph_dict(doc, depth), text)
 
 
 def parse_embedding_text(text: str) -> EmbeddingDocument:
     return _parse(parse_embedding_dict, text)
 
 
-def load_graph(path: str | Path) -> Graph:
-    return parse_graph_text(Path(path).read_text())
+def load_graph(path: str | Path, depth: int = 0) -> Graph:
+    """``depth`` counts the product tags the graph is nested in."""
+    return parse_graph_text(Path(path).read_text(), depth)
 
 
 def load_embedding(path: str | Path) -> EmbeddingDocument:

@@ -17,7 +17,7 @@ crossings of a spine prefix with ``straddling`` itself.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graphs import Edge, Graph
 
@@ -32,8 +32,6 @@ __all__ = [
     "incidence",
     "straddling",
     "validate",
-    "rotate_spine",
-    "reflect_spine",
 ]
 
 
@@ -170,17 +168,3 @@ def _violation_key(v: Crossing | MatchingViolation):
     if isinstance(v, Crossing):
         return (v.page, 0, v.edge_a, v.edge_b)
     return (v.page, 1, (v.vertex,), v.edges)
-
-
-def rotate_spine(emb: BookEmbedding, k: int) -> BookEmbedding:
-    """Cyclically rotate the spine by k positions; pages are untouched."""
-    n = len(emb.spine)
-    if n == 0:
-        return emb
-    k %= n
-    return replace(emb, spine=emb.spine[k:] + emb.spine[:k])
-
-
-def reflect_spine(emb: BookEmbedding) -> BookEmbedding:
-    """Reverse the spine; pages are untouched."""
-    return replace(emb, spine=emb.spine[::-1])

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
 from math import factorial
 
 from .graphs import (
@@ -251,16 +250,14 @@ class BoundCertificate:
     edge_coloring: tuple[int, ...] | None = None
 
 
-def lower_bound(
-    g: Graph, chi_nodes: int = DEFAULT_CHI_NODES, deadline: float | None = None
-) -> BoundCertificate:
+def lower_bound(g: Graph, deadline: float | None = None) -> BoundCertificate:
     """Best provable lower bound on the number of pages.
 
     The max degree always holds, the chromatic index refines it, and a
     regular graph containing an odd cycle cannot meet the max-degree bound
     at all, which pushes the bound to max degree + 1. A chromatic-index
-    search that runs out of nodes or past the deadline leaves the
-    max-degree bound.
+    search that runs out of ``DEFAULT_CHI_NODES`` nodes or past the
+    deadline leaves the max-degree bound.
     """
     if not is_connected(g):
         raise ValueError("lower_bound requires a connected graph")
@@ -271,7 +268,7 @@ def lower_bound(
         return BoundCertificate(
             d + 1, "regular-nonbipartite", d, regular_degree=reg, odd_cycle=part.odd_cycle
         )
-    chi = edge_chromatic_exact(g, chi_nodes, deadline)
+    chi = edge_chromatic_exact(g, DEFAULT_CHI_NODES, deadline)
     if chi is not None and chi.value > d:
         return BoundCertificate(
             chi.value, "chromatic-index", d, chromatic_index=chi.value, edge_coloring=chi.coloring
@@ -282,14 +279,14 @@ def lower_bound(
 @dataclass
 class SolveOptions:
     """``timeout_s`` bounds the whole solve (None: no limit). ``jobs`` is
-    accepted and ignored: each level is one prefix search in this process."""
+    accepted and ignored: each level is one prefix search in this process;
+    it stays because the benchmark harness still passes it. Node budgets
+    are the module constants ``DEFAULT_ORDER_NODES`` and ``DEFAULT_CHI_NODES``."""
 
     max_pages: int | None = None
     timeout_s: float | None = 600.0
     jobs: int = 1
     symmetry: bool = True
-    order_nodes: int = DEFAULT_ORDER_NODES
-    chi_nodes: int = DEFAULT_CHI_NODES
 
 
 @dataclass
@@ -310,24 +307,6 @@ class SolveResult:
     stats: SolveStats
 
 
-def spine_orders(n: int, symmetry: bool = True):
-    """Spine permutations; with symmetry=True, one per dihedral class
-    (vertex 0 pinned to position 0, reflections dropped)."""
-    if n == 0:
-        yield ()
-        return
-    if not symmetry:
-        yield from permutations(range(n))
-        return
-    if n == 1:
-        yield (0,)
-        return
-    for rest in permutations(range(1, n)):
-        if n >= 3 and rest[0] > rest[-1]:
-            continue
-        yield (0, *rest)
-
-
 class _Timeout(Exception):
     """The solve's deadline passed before or during a kernel call."""
 
@@ -336,10 +315,11 @@ class _PrefixSearch:
     """Depth-first search over spine prefixes at one page budget.
 
     Vertices are placed left to right, each time trying the free vertices
-    in increasing order, so the canonical orders of ``spine_orders`` are
-    reached in its enumeration sequence. Every unplaced vertex lies right
-    of every placed one, and a crossing depends only on the relative order
-    of four endpoints, so some conflicts are decided by the prefix alone:
+    in increasing order, so the canonical orders (vertex 0 first and the
+    second vertex below the last, under symmetry) are reached in
+    lexicographic order. Every unplaced vertex lies right of every placed
+    one, and a crossing depends only on the relative order of four
+    endpoints, so some conflicts are decided by the prefix alone:
     two closed edges (both ends placed) cross as on a full spine, and a
     closed edge conflicts with an open edge whose placed end lies strictly
     between its ends. The decided conflicts hold in every completion, so
@@ -350,17 +330,15 @@ class _PrefixSearch:
     start from the shared-endpoint conflicts, and placing v adds, for each
     edge it closes, the crossings ``layout.straddling`` decides that the
     masks lack. A level is one search from the root, in this process, so
-    its result and counters do not depend on ``SolveOptions.jobs``.
+    its result and counters do not depend on ``SolveOptions.jobs``. Each
+    kernel call gets ``DEFAULT_ORDER_NODES`` nodes.
     """
 
-    def __init__(
-        self, g: Graph, k: int, node_budget: int, symmetry: bool, deadline: float | None
-    ):
+    def __init__(self, g: Graph, k: int, symmetry: bool, deadline: float | None):
         self.n, self.edges = g.n, g.edges
         self.base = endpoint_conflict_masks(g)
         self.inc = incidence(self.n, self.edges)
         self.k = k
-        self.node_budget = node_budget
         self.pinned = symmetry and self.n >= 1
         self.mirror = symmetry and self.n >= 3
         self.deadline = deadline
@@ -414,7 +392,7 @@ class _PrefixSearch:
 
     def kernel(self, masks: list[int]) -> ColoringOutcome:
         deadline = self.deadline
-        out = color_graph(masks, self.k, self.node_budget, deadline)
+        out = color_graph(masks, self.k, DEFAULT_ORDER_NODES, deadline)
         self.nodes += out.nodes
         if out.status == UNKNOWN and deadline is not None and time.monotonic() > deadline:
             raise _Timeout
@@ -470,7 +448,7 @@ def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, st
     up to that one, or up to the deadline.
     Raises _Timeout once the deadline has passed.
     """
-    search = _PrefixSearch(g, k, opts.order_nodes, opts.symmetry, deadline)
+    search = _PrefixSearch(g, k, opts.symmetry, deadline)
     try:
         return search.run(), search.unknown
     finally:
@@ -498,7 +476,7 @@ def exact_mbt(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
         raise ValueError("exact_mbt requires a connected graph")
     start = time.monotonic()
     deadline = start + opts.timeout_s if opts.timeout_s is not None else None
-    cert = lower_bound(g, opts.chi_nodes, deadline)
+    cert = lower_bound(g, deadline)
     stats = SolveStats()
 
     id_spine = tuple(range(g.n))

@@ -7,6 +7,8 @@ with the package.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import permutations
 from itertools import product as iproduct
 
 
@@ -148,3 +150,36 @@ def check_odd_cycle(g, cert) -> bool:
     edge_set = set(g.edges)
     pairs = list(zip(cert, cert[1:])) + [(cert[-1], cert[0])]
     return all((min(a, b), max(a, b)) in edge_set for a, b in pairs)
+
+
+def spine_orders(n: int, symmetry: bool = True):
+    """Spine permutations; with symmetry=True, one per dihedral class
+    (vertex 0 pinned to position 0, reflections dropped)."""
+    if n == 0:
+        yield ()
+        return
+    if not symmetry:
+        yield from permutations(range(n))
+        return
+    if n == 1:
+        yield (0,)
+        return
+    for rest in permutations(range(1, n)):
+        if n >= 3 and rest[0] > rest[-1]:
+            continue
+        yield (0, *rest)
+
+
+def rotate_spine(emb, k: int):
+    """The embedding with its spine cyclically rotated by k positions;
+    pages are untouched."""
+    n = len(emb.spine)
+    if n == 0:
+        return emb
+    k %= n
+    return replace(emb, spine=emb.spine[k:] + emb.spine[:k])
+
+
+def reflect_spine(emb):
+    """The embedding with its spine reversed; pages are untouched."""
+    return replace(emb, spine=emb.spine[::-1])

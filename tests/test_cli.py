@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import matchbook
+from matchbook import constructions
 from matchbook.cli import main
 from matchbook.constructions import complete_embedding, kpcq_embedding
 from matchbook.formats import (
+    MAX_PRODUCT_DEPTH,
     dumps,
     embedding_to_dict,
     load_embedding,
@@ -348,7 +350,8 @@ def test_solve_kpcq_3_3(capsys, tmp_path):
 
 def test_embed_unresolved_and_fallback_solver(capsys, tmp_path):
     # the prism's right factor is an odd cycle, so the product scheme has
-    # no dispersable witness and must report unresolved without the flag
+    # no dispersable witness: named, it reports unresolved; under auto it
+    # falls through to the solver
     left, right, gp = (tmp_path / n for n in ("l.json", "r.json", "g.json"))
     save_graph(complete(2), left)
     save_graph(cycle(3), right)
@@ -360,10 +363,7 @@ def test_embed_unresolved_and_fallback_solver(capsys, tmp_path):
     assert code == 1
     assert json.loads(out)["unresolved"]
 
-    code, out, _ = run(
-        capsys, "embed", str(gp), "--method", "construction:product-lemma2.5",
-        "--fallback-solver",
-    )
+    code, out, _ = run(capsys, "embed", str(gp), "--method", "auto")
     assert code == 0
     doc = json.loads(out)
     assert doc["scheme"] == "solver" and doc["page_count"] == 4
@@ -385,6 +385,34 @@ def test_product_scheme_under_a_page_cap_below_the_witness_is_unresolved(capsys,
     assert code == 1
     assert json.loads(out) == {"unresolved": True, "reason": "right factor admits no dispersable witness"}
     assert err.startswith("unresolved by construction")
+
+
+@pytest.mark.parametrize("method", ["solver", "auto"])
+def test_solver_under_a_page_cap_below_the_answer_is_unresolved(capsys, tmp_path, monkeypatch, method):
+    # an untagged K3,3 goes to the solver under either method; it needs 3
+    # pages, so under a cap of 2 there is no embedding, which is unresolved
+    # on stdout, and auto does not run the solver a second time
+    calls = []
+    exact_mbt = constructions.solver.exact_mbt
+    monkeypatch.setattr(constructions.solver, "exact_mbt", lambda *a: calls.append(a) or exact_mbt(*a))
+    gp = tmp_path / "g.json"
+    save_graph(Graph(6, complete_bipartite(3, 3).edges, name="K3,3"), gp)
+    code, out, err = run(capsys, "embed", str(gp), "--method", method, "--max-pages", "2")
+    assert code == 1
+    assert json.loads(out) == {
+        "unresolved": True, "reason": "exact search found no embedding in 2 pages or fewer"
+    }
+    assert err.startswith("unresolved by construction")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["embed", "g.json", "--fallback-solver"], ["verify", "g.json", "e.json", "-o", "r.json"]]
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_boolean_edge_endpoint_is_usage_error(capsys, tmp_path):
@@ -484,6 +512,28 @@ def _deep_text(kind, depth, embedding):
     if embedding:
         text = f'{{"type":"embedding","graph":{text},"spine":[0],"pages":[],"page_count":0}}'
     return text
+
+
+def test_gen_product_of_files_keeps_the_product_depth_limit(capsys, tmp_path):
+    # a factor is nested one product tag deeper in the product than in its
+    # own file, so gen reads it at that depth: a 63-deep factor makes a
+    # 64-deep product that loads, a 64-deep one is a format error with
+    # nothing written
+    k1 = tmp_path / "k1.json"
+    save_graph(Graph(1, ()), k1)
+    for depth, code in [(63, 0), (64, 2)]:
+        factor, gp = tmp_path / f"f{depth}.json", tmp_path / f"g{depth}.json"
+        factor.write_text(_deep_text("product", depth, embedding=False))
+        got, out, err = run(
+            capsys, "gen", "--family", "product-of-files",
+            "--left", str(factor), "--right", str(k1), "-o", str(gp),
+        )
+        assert got == code
+        if code == 0:
+            assert run(capsys, "solve", str(gp))[0] == 0
+        else:
+            assert out == "" and not gp.exists()
+            assert err == f"format error: product family tags are nested more than {MAX_PRODUCT_DEPTH} deep\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "embed", "verify", "render"])

@@ -11,13 +11,17 @@ from matchbook.layout import (
     MatchingViolation,
     check_structure,
     incidence,
-    reflect_spine,
-    rotate_spine,
     straddling,
     validate,
 )
 from matchbook.solver import first_fit_pages
-from oracles import brute_valid, brute_violation_count, brute_violations
+from oracles import (
+    brute_valid,
+    brute_violation_count,
+    brute_violations,
+    reflect_spine,
+    rotate_spine,
+)
 from strategies import embeddings
 
 

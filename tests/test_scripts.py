@@ -1,11 +1,15 @@
-"""The scripts under scripts/ run to completion on small inputs."""
+"""The scripts under scripts/ run to completion on small inputs, and the
+bench tracer still finds every function it wraps."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import matchbook
+from matchbook.graphs import cycle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,3 +32,24 @@ def test_make_figures_runs(tmp_path):
     out = run_script("make_figures.py", "--out", str(tmp_path))
     assert out.returncode == 0, out.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k4_c4.svg", "k5_c3.svg", "k5e_p3.svg", "k6_c3.svg"]
+
+
+def test_bench_tracer_wraps_every_traced_name_and_restores():
+    # install() looks each traced function up by name, so a renamed or
+    # deleted one breaks perfbench/run.py --trace 1
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    mods = [importlib.import_module(f"matchbook.{name}") for name in tracer.LAYERS]
+    before = [dict(vars(mod)) for mod in mods]
+    t = tracer.Tracer()
+    restore = tracer.install(t)
+    try:
+        for _, home, fname, _ in tracer.WRAPS:
+            assert hasattr(getattr(importlib.import_module(f"matchbook.{home}"), fname), "__wrapped__")
+        matchbook.solver.exact_mbt(cycle(5))
+    finally:
+        restore()
+    assert [dict(vars(mod)) for mod in mods] == before
+    assert {"solver.solve", "solver.lower_bound", "solver.upper_bound"} <= {s[0] for s in t.spans}
+    assert tracer.layer_metrics(t.spans)["solver.calls"] >= 3

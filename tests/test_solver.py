@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchbook import solver
 from matchbook.graphs import (
     Graph,
     complete,
@@ -40,9 +41,14 @@ from matchbook.solver import (
     exact_mbt,
     first_fit_pages,
     lower_bound,
+)
+from oracles import (
+    brute_chromatic_index,
+    brute_conflict_masks,
+    brute_feasible,
+    check_odd_cycle,
     spine_orders,
 )
-from oracles import brute_chromatic_index, brute_conflict_masks, brute_feasible, check_odd_cycle
 from strategies import graphs
 
 
@@ -267,10 +273,11 @@ def test_witness_page_count_matches_value():
         assert res.witness.page_count == res.value
 
 
-def test_starved_order_budget_never_claims_exactness():
+def test_starved_order_budget_never_claims_exactness(monkeypatch):
     # with a 3-node budget every order scan is unknown, so the result can
     # only be the greedy upper bound, flagged non-exhaustive
-    res = exact_mbt(complete_bipartite(3, 3), SolveOptions(order_nodes=3))
+    monkeypatch.setattr(solver, "DEFAULT_ORDER_NODES", 3)
+    res = exact_mbt(complete_bipartite(3, 3))
     assert not res.exhaustive
     assert res.value is not None and validate(res.witness).valid
     assert res.value >= 3
@@ -466,7 +473,7 @@ def test_exact_mbt_golden_counters(name, jobs):
 
 
 def replay(g, spine, symmetry=False):
-    search = _PrefixSearch(g, 1, 1, symmetry, None)
+    search = _PrefixSearch(g, 1, symmetry, None)
     state = search.root()
     for v in spine[len(state[0]):]:
         state = search.place(state, v)[0]
