@@ -102,7 +102,10 @@ def _cmd_embed(args) -> int:
         elif method == "solver":
             outcome = constructions.construct(g, constructions.SCHEME_SOLVER, opts)
         elif method.startswith("construction:"):
-            outcome = constructions.construct(g, method.split(":", 1)[1], opts)
+            scheme = method.split(":", 1)[1]
+            if scheme in ("auto", constructions.SCHEME_SOLVER):
+                raise ValueError(f"unknown scheme {scheme!r} after construction:; use --method {scheme}")
+            outcome = constructions.construct(g, scheme, opts)
         else:
             raise ValueError(f"unknown method {method!r}")
     except constructions.ConstructionUnresolved as exc:
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         help="auto, solver, or construction:<scheme> for a scheme in "
-        + ", ".join(constructions.SCHEMES),
+        + ", ".join(s for s in constructions.SCHEMES if s != constructions.SCHEME_SOLVER),
     )
     _add_solver_flags(embed)
     _add_io_flags(embed)

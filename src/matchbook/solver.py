@@ -15,6 +15,14 @@ bound and searches spine orders one per dihedral symmetry class, so the
 first feasible level is exact and carries an exhaustiveness certificate.
 Orders are searched by prefix: the conflicts a prefix decides hold in
 every order that extends it, so one kernel call can refute a subtree.
+
+Two rules skip search that cannot change an answer, and each is proved
+where it is applied: the chromatic-index search starts at the overfull
+count (``overfull_bound``), since no level below it can succeed, and the
+prefix search places twin vertices in increasing order (``_PrefixSearch``),
+since swapping twins maps every skipped order to an earlier one that is
+just as feasible. Neither changes a value, certificate or witness; only
+the node counters fall.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from math import factorial
 from .graphs import (
     Graph,
     bipartition,
+    degrees,
     is_connected,
     is_regular,
     max_degree,
@@ -212,14 +221,38 @@ class EdgeColoringResult:
     nodes: int
 
 
+def overfull_bound(g: Graph) -> int:
+    """A lower bound on the chromatic index by counting edges.
+
+    Every colour class is a matching, which covers at most ⌊n_H/2⌋ edges of
+    a subgraph H on n_H vertices, so k colours cover at most k·⌊n_H/2⌋ of
+    its m_H edges: k ≥ ⌈m_H / ⌊n_H/2⌋⌉. This takes H = G and, for even
+    n ≥ 4, H = G − v for v of least degree δ (n − 1 vertices, m − δ edges),
+    the vertex whose removal keeps the most edges. The max degree bounds
+    the chromatic index too, and the larger of the three is returned.
+    """
+    ds = degrees(g)
+    bound = max(ds, default=0)
+    half = g.n // 2
+    if half:
+        bound = max(bound, -(-g.m // half))
+    if g.n >= 4 and g.n % 2 == 0:
+        bound = max(bound, -(-(g.m - min(ds)) // (half - 1)))
+    return bound
+
+
 def edge_chromatic_exact(
     g: Graph, node_budget: int = DEFAULT_CHI_NODES, deadline: float | None = None
 ) -> EdgeColoringResult | None:
     """Exact chromatic index, or None when out of budget or past the
     ``time.monotonic()`` deadline.
 
-    Colours the shared-endpoint conflict graph, searching k upward from the
-    max-degree bound so the first success is exact.
+    Colours the shared-endpoint conflict graph, searching k upward from
+    ``overfull_bound``, so the first success is exact: no level below that
+    bound has a colouring, and searching those levels (as a start at the
+    max degree would) could only refute them. The levels searched, and so
+    the value and the colouring found, are those of a search from the max
+    degree that finished; only the refuting levels' nodes are skipped.
     """
     if g.m > 80:
         return None
@@ -227,7 +260,7 @@ def edge_chromatic_exact(
         return EdgeColoringResult(0, (), 0)
     masks = endpoint_conflict_masks(g)
     total = 0
-    for k in range(max_degree(g), g.m + 1):
+    for k in range(overfull_bound(g), g.m + 1):
         out = color_graph(masks, k, node_budget, deadline)
         total += out.nodes
         if out.status == FOUND:
@@ -257,7 +290,10 @@ def lower_bound(g: Graph, deadline: float | None = None) -> BoundCertificate:
     regular graph containing an odd cycle cannot meet the max-degree bound
     at all, which pushes the bound to max degree + 1. A chromatic-index
     search that runs out of ``DEFAULT_CHI_NODES`` nodes or past the
-    deadline leaves the max-degree bound.
+    deadline leaves the max-degree bound. That search starts at the
+    overfull count (see ``edge_chromatic_exact``), so an overfull graph
+    such as K9−e gets its chromatic-index bound from a single colouring
+    at the count instead of a refutation of the max-degree level.
     """
     if not is_connected(g):
         raise ValueError("lower_bound requires a connected graph")
@@ -332,6 +368,24 @@ class _PrefixSearch:
     masks lack. A level is one search from the root, in this process, so
     its result and counters do not depend on ``SolveOptions.jobs``. Each
     kernel call gets ``DEFAULT_ORDER_NODES`` nodes.
+
+    Under symmetry, twins are placed in increasing order. Twins are
+    u ≠ v with N(u)∖{v} = N(v)∖{u}, so the swap (u v) is an automorphism
+    of g. The search does not place v while a twin u < v is free, and
+    counts that child's canonical orders as settled. This is sound: take a
+    canonical order σ that extends the prefix P with v and has u later.
+    Swapping u and v in σ gives σ', an order of the same page count (the
+    swap carries each page of σ to a page of σ'), which agrees with σ on P
+    and has u < v at the next position, so it comes earlier. It is still
+    canonical: P keeps vertex 0 first, and if u or v is at position 1 or
+    last, then v = σ[1] < σ[-1] gives u = σ'[1] < σ'[-1], and u = σ[-1] >
+    σ[1] gives v = σ'[-1] > σ'[1]. So every skipped order has an earlier
+    canonical order just as feasible, the earliest feasible order is never
+    skipped, and the witness, ``per_level`` and ``orders_tested`` are those
+    of the plain search; only kernel nodes are saved. Twins are one class
+    per open or closed neighbourhood, and the rule places each class in
+    increasing order, so checking v's nearest smaller twin suffices.
+    Without symmetry the search stays plain enumeration: it is the oracle.
     """
 
     def __init__(self, g: Graph, k: int, symmetry: bool, deadline: float | None):
@@ -341,6 +395,17 @@ class _PrefixSearch:
         self.k = k
         self.pinned = symmetry and self.n >= 1
         self.mirror = symmetry and self.n >= 3
+        self.twin = [-1] * self.n  # each vertex's nearest smaller twin
+        if symmetry:
+            near = [0] * self.n
+            for a, b in self.edges:
+                near[a] |= 1 << b
+                near[b] |= 1 << a
+            last: dict[int, int] = {}
+            for v in range(self.n):
+                for hood in (near[v], near[v] | 1 << v):
+                    self.twin[v] = last.get(hood, self.twin[v])
+                    last[hood] = v
         self.deadline = deadline
         self.settled = 0  # orders refuted or tested so far
         self.nodes = 0
@@ -408,6 +473,7 @@ class _PrefixSearch:
         placement decided no new conflict inherits its parent's verdict.
         """
         n = self.n
+        twin = self.twin
         stack: list[list] = []
         state, out = self.root(), None
         while True:
@@ -428,7 +494,13 @@ class _PrefixSearch:
             while stack:
                 frame = stack[-1]
                 parent, v = frame[0], frame[2]
-                while v < n and not (parent[1][v] < 0 and self.leaves(parent[0] + (v,))):
+                pos = parent[1]
+                while v < n:
+                    if pos[v] < 0 and (leaves := self.leaves(parent[0] + (v,))):
+                        t = twin[v]
+                        if t < 0 or pos[t] >= 0:
+                            break
+                        self.settled += leaves  # a smaller twin is free
                     v += 1
                 if v < n:
                     frame[2] = v + 1

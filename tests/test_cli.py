@@ -149,6 +149,25 @@ def test_embed_unknown_scheme_is_usage_error(capsys, tmp_path):
     assert "known: auto, complete-congruence" in err
 
 
+@pytest.mark.parametrize("scheme", ["auto", "solver"])
+def test_embed_construction_takes_only_construction_schemes(capsys, tmp_path, scheme):
+    # auto and solver are methods of their own, not second spellings of them
+    gp = tmp_path / "c4.json"
+    save_graph(cycle(4), gp)
+    code, out, err = run(capsys, "embed", str(gp), "--method", f"construction:{scheme}")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: unknown scheme '{scheme}'") and err.count("\n") == 1
+    assert run(capsys, "embed", str(gp), "--method", scheme)[0] == 0
+
+
+def test_embed_method_help_lists_construction_schemes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # one help line per option
+    assert main(["embed", "--help"]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines() if "--method METHOD " in line)
+    listed = line.split("construction:<scheme> for a scheme in ", 1)[1].split(", ")
+    assert listed == [s for s in constructions.SCHEMES if s != constructions.SCHEME_SOLVER]
+
+
 @pytest.mark.parametrize(
     "g, method",
     [

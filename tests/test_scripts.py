@@ -1,15 +1,17 @@
-"""The scripts under scripts/ run to completion on small inputs, and the
-bench tracer still finds every function it wraps."""
+"""The scripts under scripts/ run to completion on small inputs, the
+bench tracer still finds every function it wraps, and the bench corpus's
+pinned answers still hold."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import matchbook
-from matchbook.graphs import cycle
+from matchbook.graphs import Graph, cycle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +55,23 @@ def test_bench_tracer_wraps_every_traced_name_and_restores():
     assert [dict(vars(mod)) for mod in mods] == before
     assert {"solver.solve", "solver.lower_bound", "solver.upper_bound"} <= {s[0] for s in t.spans}
     assert tracer.layer_metrics(t.spans)["solver.calls"] >= 3
+
+
+def test_bench_corpus_pins_hold_on_the_committed_labelling():
+    # perfbench/run.py checks every solve against the value, exhaustiveness,
+    # bound, bound reason and refuted orders pinned in perfbench/corpus.json;
+    # a change that moves a pin fails here before the benchmark runs
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path[:] = path
+    corpus = json.loads((ROOT / "perfbench" / "corpus.json").read_text())
+    entries = [e for workload in corpus.values() for e in workload]
+    assert len(entries) == 19
+    for e in entries:
+        edges = sorted(tuple(sorted(edge)) for edge in e["edges"])
+        out = matchbook.solver.exact_mbt(Graph(e["n"], tuple(edges)))
+        assert run.Solve.check(e, edges, out) == [], e["name"]

@@ -6,7 +6,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchbook import solver
@@ -419,7 +419,12 @@ def test_color_graph_stops_at_deadline():
 
 
 def test_timeout_bounds_the_lower_bound():
-    g = delete_edge(complete(9), (0, 1))
+    # K9-e with a pendant path 0-9-10: n = 11, m = 37, max degree 8 and
+    # chromatic index 9, but neither G nor G - v is overfull, so the
+    # chromatic-index search has to refute 8 colours and runs out of time
+    k9e = delete_edge(complete(9), (0, 1))
+    g = Graph(11, (*k9e.edges, (0, 9), (9, 10)))
+    assert solver.overfull_bound(g) == max_degree(g) == 8
     start = time.monotonic()
     res = exact_mbt(g, SolveOptions(timeout_s=1))
     assert time.monotonic() - start < 5
@@ -427,6 +432,40 @@ def test_timeout_bounds_the_lower_bound():
     # out of time, the chromatic-index search leaves the max-degree bound
     assert res.bound.reason == "max-degree" and res.bound.value == 8
     assert res.value == res.witness.page_count and validate(res.witness).valid
+
+
+def test_overfull_k9e_is_solved_by_counting():
+    # m = 35 > 8 * 4: eight matchings on nine vertices cover at most 32
+    # edges, which proves the bound without refuting 8 colours by search
+    g = delete_edge(complete(9), (0, 1))
+    assert g.m > 8 * (g.n // 2)
+    start = time.monotonic()
+    cert = lower_bound(g)
+    res = exact_mbt(g)
+    assert time.monotonic() - start < 1
+    assert (cert.value, cert.reason, cert.chromatic_index) == (9, "chromatic-index", 9)
+    coloring = cert.edge_coloring
+    assert len(set(coloring)) == 9
+    assert all(
+        coloring[i] != coloring[j]
+        for i in range(g.m)
+        for j in range(i + 1, g.m)
+        if set(g.edges[i]) & set(g.edges[j])
+    )
+    assert res.value == 9 and res.exhaustive and res.stats.per_level == {9: 1}
+    assert validate(res.witness).valid
+
+
+@given(graphs(min_n=1, max_n=7))
+@example(Graph(4, ((0, 1), (0, 2), (1, 2))))  # only G - v is overfull
+@example(Graph(6, cycle(5).edges))
+@settings(max_examples=60)
+def test_overfull_start_never_passes_the_chromatic_index(g):
+    if g.m > 8:
+        return
+    chi = brute_chromatic_index(g.edges)
+    assert max_degree(g) <= solver.overfull_bound(g) <= chi
+    assert edge_chromatic_exact(g).value == chi
 
 
 @pytest.mark.parametrize(
@@ -456,10 +495,14 @@ def _corpus_graph(name):
 # the prefix search moves the node or order counts
 GOLDEN = {
     "R7-267": (5, 7834, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6)),
-    "K6-e": (6, 250, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5)),
+    "K6-e": (6, 102, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5)),
     "Q3": (3, 66, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7)),
     "Petersen": (4, 129, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8)),
     "K3xC3": (5, 143, 2, {5: 2}, (0, 1, 2, 3, 4, 5, 6, 8, 7)),
+    # twin-rich graphs: the twin rule lowers their nodes, never their orders
+    "K8-e": (8, 9005, 2521, {7: 2520, 8: 1}, (0, 1, 2, 3, 4, 5, 6, 7)),
+    "K8-3e": (7, 2652, 1009, {7: 1009}, (0, 2, 4, 6, 5, 3, 1, 7)),
+    "K4,4": (4, 100, 1839, {4: 1839}, (0, 4, 1, 5, 2, 6, 3, 7)),
 }
 
 
@@ -521,6 +564,18 @@ SCAN_CORPUS = [
     complete(5),
     delete_edge(complete(6), (0, 1)),
     kpcq(3, 3),
+    # twin-rich graphs, where the twin rule skips subtrees
+    delete_edge(complete(7), (0, 1)),
+    complete_bipartite(2, 4),
+    Graph(6, delete_edge(delete_edge(delete_edge(complete(6), (0, 1)), (2, 3)), (4, 5)).edges, name="K2,2,2"),
+    complete_bipartite(1, 5),
+    # draw 14 of random.Random(13), G(7, 0.5) over pairs u<v in
+    # lexicographic order: connected, with one twin pair (2, 6)
+    Graph(
+        7,
+        ((0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (2, 5), (2, 6), (3, 4), (3, 5), (5, 6)),
+        name="R13-14",
+    ),
 ]
 
 
