@@ -4,6 +4,10 @@ Exit codes: 0 when the requested artifact was produced (and validated,
 where that applies), 1 for invalid or unsolved outcomes, 2 for usage or
 format errors. Machine-readable results go to stdout, diagnostics to
 stderr.
+
+Each command imports only the modules it runs: ``gen`` and ``verify``
+never load the constructions, the solver or the renderer, and an embedding
+by a construction never loads the solver.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import constructions, formats, render, solver
+from . import formats
 from .graphs import FAMILIES, cartesian_product
 from .layout import Crossing, validate
+from .options import SolveOptions
 
 EXIT_OK = 0
 EXIT_UNSOLVED = 1
@@ -59,8 +64,8 @@ def _report_to_dict(rep) -> dict:
     return {"valid": rep.valid, "page_count": rep.page_count, "violations": items}
 
 
-def _solve_options(args) -> solver.SolveOptions:
-    return solver.SolveOptions(
+def _solve_options(args) -> SolveOptions:
+    return SolveOptions(
         max_pages=args.max_pages,
         timeout_s=args.timeout,
         jobs=args.jobs,
@@ -93,6 +98,8 @@ def _flag(args, name: str):
 
 
 def _cmd_embed(args) -> int:
+    from . import constructions
+
     g = formats.load_graph(args.graph)
     opts = _solve_options(args)
     method = args.method
@@ -109,8 +116,11 @@ def _cmd_embed(args) -> int:
         else:
             raise ValueError(f"unknown method {method!r}")
     except constructions.ConstructionUnresolved as exc:
-        _err(args, f"unresolved by construction: {exc}")
+        _err(args, f"unresolved: {exc}")
         print(json.dumps({"unresolved": True, "reason": str(exc)}, indent=2))
+        return EXIT_UNSOLVED
+    except constructions.ConstructionError as exc:
+        _err(args, f"construction error: {exc}")
         return EXIT_UNSOLVED
 
     emb = outcome.embedding
@@ -137,6 +147,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import solver
+
     g = formats.load_graph(args.graph)
     res = solver.exact_mbt(g, _solve_options(args))
     bound = res.bound
@@ -162,7 +174,9 @@ def _cmd_solve(args) -> int:
     }
     print(json.dumps(out, indent=2))
     if args.output and res.witness is not None:
-        formats.save_embedding(res.witness, args.output, scheme=constructions.SCHEME_SOLVER)
+        from .constructions import SCHEME_SOLVER
+
+        formats.save_embedding(res.witness, args.output, scheme=SCHEME_SOLVER)
     return EXIT_OK if res.value is not None and res.exhaustive else EXIT_UNSOLVED
 
 
@@ -175,7 +189,9 @@ def _cmd_render(args) -> int:
     if not rep.valid and not args.force:
         _err(args, f"embedding is invalid ({len(rep.violations)} violations); use --force to render")
         return EXIT_UNSOLVED
-    svg = render.render_svg(doc.embedding, rep, split_pages=args.split_pages)
+    from .render import render_svg
+
+    svg = render_svg(doc.embedding, rep, split_pages=args.split_pages)
     if args.output:
         Path(args.output).write_text(svg)
         print(json.dumps({"output": str(args.output), "page_count": doc.embedding.page_count}))
@@ -197,6 +213,18 @@ def _add_solver_flags(sp) -> None:
     sp.add_argument("--no-symmetry", action="store_true", help="enumerate all spine orders")
 
 
+class _EmbedHelp(argparse.HelpFormatter):
+    """Ends the --method help with the schemes of ``constructions.SCHEMES``,
+    loading that module only when the help is shown."""
+
+    def _get_help_string(self, action):
+        if action.dest != "method":
+            return action.help
+        from .constructions import SCHEME_SOLVER, SCHEMES
+
+        return action.help + ", ".join(s for s in SCHEMES if s != SCHEME_SOLVER)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchbook",
@@ -213,13 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(gen)
     gen.set_defaults(handler=_cmd_gen)
 
-    embed = sub.add_parser("embed", help="embed a graph file")
+    embed = sub.add_parser("embed", help="embed a graph file", formatter_class=_EmbedHelp)
     embed.add_argument("graph")
     embed.add_argument(
-        "--method",
-        default="auto",
-        help="auto, solver, or construction:<scheme> for a scheme in "
-        + ", ".join(s for s in constructions.SCHEMES if s != constructions.SCHEME_SOLVER),
+        "--method", default="auto", help="auto, solver, or construction:<scheme> for a scheme in "
     )
     _add_solver_flags(embed)
     _add_io_flags(embed)
@@ -258,9 +283,6 @@ def main(argv: list[str] | None = None) -> int:
     except formats.FormatError as exc:
         _err(args, f"format error: {exc}")
         return EXIT_USAGE
-    except constructions.ConstructionError as exc:
-        _err(args, f"construction error: {exc}")
-        return EXIT_UNSOLVED
     except ValueError as exc:
         _err(args, f"error: {exc}")
         return EXIT_USAGE

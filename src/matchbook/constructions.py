@@ -15,9 +15,8 @@ only the embeddings a caller hands them.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from . import solver
 from .graphs import (
     Graph,
     bipartition,
@@ -30,6 +29,7 @@ from .graphs import (
     path,
 )
 from .layout import BookEmbedding, MalformedEmbeddingError, ValidationReport, validate
+from .options import SolveOptions
 
 SCHEME_COMPLETE = "complete-congruence"
 SCHEME_EVEN_CYCLE = "even-cycle"
@@ -53,8 +53,7 @@ class ConstructionUnresolved(Exception):
     the exact solver found none within its page cap."""
 
 
-@dataclass(frozen=True)
-class DispersableWitness:
+class DispersableWitness(NamedTuple):
     """A max-degree-page matching book embedding of a bipartite graph plus
     the 2-colouring that orients block copies in the product construction
     (0 = forward block, 1 = reversed block)."""
@@ -63,8 +62,7 @@ class DispersableWitness:
     coloring: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConstructionOutcome:
+class ConstructionOutcome(NamedTuple):
     embedding: BookEmbedding
     scheme: str
 
@@ -208,7 +206,7 @@ def kpcq_embedding(p: int, q: int) -> ConstructionOutcome:
     return construct(kpcq(p, q), "auto")
 
 
-def witness_for(b: Graph, opts: solver.SolveOptions | None = None) -> DispersableWitness | None:
+def witness_for(b: Graph, opts: SolveOptions | None = None) -> DispersableWitness | None:
     """Dispersable witness for b: its ``auto`` embedding, when that has
     max-degree pages, with b's 2-colouring.
 
@@ -226,7 +224,7 @@ def witness_for(b: Graph, opts: solver.SolveOptions | None = None) -> Dispersabl
     return DispersableWitness(emb, part.coloring) if emb.page_count == max_degree(b) else None
 
 
-def _product(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
+def _product(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
     _, left, right = g.family
     wit = witness_for(right, opts)
     if wit is None:
@@ -234,27 +232,30 @@ def _product(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
     emb = product_embedding(auto_embedding(left, opts).embedding, wit)
     # product_embedding names the product after its factors' embedded graphs;
     # the result keeps g's own name and tag unless it embeds another graph
-    return replace(emb, graph=g) if emb.graph == g else emb
+    return emb._replace(graph=g) if emb.graph == g else emb
 
 
 # each kpcq builder regenerates the graph from the tag, so a false tag embeds
 # another graph, which construct reports
-def _kpcq_odd(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
+def _kpcq_odd(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
     _, p, q = g.family
     g = kpcq(p, q)
     pages = tuple(_direct_page(p, q, u, v) for u, v in g.edges)
     return BookEmbedding(g, _snake_spine(p, q), pages, p + 2)
 
 
-def _kpcq_even(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
+def _kpcq_even(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
     # even cycles are dispersable: the product construction on top of the
     # congruence embedding
     _, p, q = g.family
     emb = product_embedding(complete_embedding(p), even_cycle_embedding(q // 2))
-    return replace(emb, graph=kpcq(p, q))
+    return emb._replace(graph=kpcq(p, q))
 
 
-def _solve(g: Graph, opts: solver.SolveOptions | None) -> BookEmbedding:
+def _solve(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
+    # loaded here, so that an embedding by a construction never loads the solver
+    from . import solver
+
     res = solver.exact_mbt(g, opts)
     if res.witness is None:
         raise ConstructionUnresolved(f"exact search found no embedding in {opts.max_pages} pages or fewer")
@@ -280,7 +281,7 @@ SCHEMES = {
 }
 
 
-def construct(g: Graph, scheme: str, opts: solver.SolveOptions | None = None) -> ConstructionOutcome:
+def construct(g: Graph, scheme: str, opts: SolveOptions | None = None) -> ConstructionOutcome:
     """Embed g by the named scheme, or by the first that applies for "auto".
 
     The result is checked to embed g itself and to pass ``validate``;
@@ -317,6 +318,6 @@ def construct(g: Graph, scheme: str, opts: solver.SolveOptions | None = None) ->
     return ConstructionOutcome(emb, scheme)
 
 
-def auto_embedding(g: Graph, opts: solver.SolveOptions | None = None) -> ConstructionOutcome:
+def auto_embedding(g: Graph, opts: SolveOptions | None = None) -> ConstructionOutcome:
     """Family-recognised construction when one applies, else exact search."""
     return construct(g, "auto", opts)

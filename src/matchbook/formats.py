@@ -17,8 +17,8 @@ a tag that claims a huge graph is rejected without building it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .graphs import FAMILIES, Graph, cartesian_product, n_left, product_labels
 from .layout import BookEmbedding, MalformedEmbeddingError, check_structure
@@ -134,8 +134,7 @@ def parse_graph_dict(doc, depth: int = 0) -> Graph:
     return g
 
 
-@dataclass(frozen=True)
-class EmbeddingDocument:
+class EmbeddingDocument(NamedTuple):
     embedding: BookEmbedding
     scheme: str | None = None
 

@@ -12,9 +12,9 @@ builds from it and the file formats check tags against it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 Edge = tuple[int, int]
 
@@ -62,27 +62,46 @@ def _canonical_edges(n: int, edges) -> tuple[Edge, ...]:
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable simple graph; equality and hashing ignore name/family."""
 
-    n: int
-    edges: tuple[Edge, ...] = ()
-    name: str = field(default="G", compare=False)
-    family: tuple | None = field(default=None, compare=False)
+    __slots__ = ("n", "edges", "name", "family")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges=(), name: str = "G", family: tuple | None = None) -> None:
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "edges", _canonical_edges(n, edges))
+        init(self, "name", name)
+        init(self, "family", family)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Graph")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Graph")
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r}, name={self.name!r}, family={self.family!r})"
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges, self.name, self.family)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class ProductLabel:
+class ProductLabel(NamedTuple):
     """Factor coordinates of a product vertex: id = right * n_left + left."""
 
     left: int
@@ -136,8 +155,7 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-@dataclass(frozen=True)
-class BipartitionResult:
+class BipartitionResult(NamedTuple):
     """Either a proper 2-colouring or an explicit odd cycle, never both."""
 
     coloring: tuple[int, ...] | None = None

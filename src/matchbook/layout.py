@@ -17,7 +17,7 @@ crossings of a spine prefix with ``straddling`` itself.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Edge, Graph
 
@@ -39,36 +39,38 @@ class MalformedEmbeddingError(ValueError):
     """Structurally broken embedding, as opposed to a merely invalid one."""
 
 
-@dataclass(frozen=True)
-class BookEmbedding:
-    """Spine permutation (position -> vertex) plus a page per canonical edge."""
-
+class _BookEmbedding(NamedTuple):
     graph: Graph
     spine: tuple[int, ...]
     pages: tuple[int, ...]
     page_count: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "spine", tuple(self.spine))
-        object.__setattr__(self, "pages", tuple(self.pages))
+
+class BookEmbedding(_BookEmbedding):
+    """Spine permutation (position -> vertex) plus a page per canonical edge.
+
+    The constructor turns ``spine`` and ``pages`` into tuples; ``_replace``
+    passes its values through unchanged."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: Graph, spine, pages, page_count: int):
+        return super().__new__(cls, graph, tuple(spine), tuple(pages), page_count)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     page: int
     edge_a: Edge
     edge_b: Edge
 
 
-@dataclass(frozen=True)
-class MatchingViolation:
+class MatchingViolation(NamedTuple):
     page: int
     vertex: int
     edges: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     page_count: int
     violations: tuple[Crossing | MatchingViolation, ...]

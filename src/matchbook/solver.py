@@ -28,8 +28,8 @@ the node counters fall.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import factorial
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -40,6 +40,7 @@ from .graphs import (
     max_degree,
 )
 from .layout import BookEmbedding, crossings, incidence, straddling
+from .options import SolveOptions
 
 FOUND = "found"
 INFEASIBLE = "infeasible"
@@ -49,8 +50,7 @@ DEFAULT_ORDER_NODES = 500_000
 DEFAULT_CHI_NODES = 2_000_000
 
 
-@dataclass(frozen=True)
-class ColoringOutcome:
+class ColoringOutcome(NamedTuple):
     status: str
     colors: tuple[int, ...] | None = None
     nodes: int = 0
@@ -214,8 +214,7 @@ def first_fit_pages(g: Graph, spine) -> tuple[int, ...]:
     return tuple(pages)
 
 
-@dataclass(frozen=True)
-class EdgeColoringResult:
+class EdgeColoringResult(NamedTuple):
     value: int
     coloring: tuple[int, ...]
     nodes: int
@@ -270,8 +269,7 @@ def edge_chromatic_exact(
     return None
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Provable page lower bound with re-checkable evidence."""
 
     value: int
@@ -312,30 +310,30 @@ def lower_bound(g: Graph, deadline: float | None = None) -> BoundCertificate:
     return BoundCertificate(d, "max-degree", d)
 
 
-@dataclass
-class SolveOptions:
-    """``timeout_s`` bounds the whole solve (None: no limit). ``jobs`` is
-    accepted and ignored: each level is one prefix search in this process;
-    it stays because the benchmark harness still passes it. Node budgets
-    are the module constants ``DEFAULT_ORDER_NODES`` and ``DEFAULT_CHI_NODES``."""
-
-    max_pages: int | None = None
-    timeout_s: float | None = 600.0
-    jobs: int = 1
-    symmetry: bool = True
-
-
-@dataclass
 class SolveStats:
-    orders_tested: int = 0
-    nodes: int = 0
-    elapsed_s: float = 0.0
-    per_level: dict[int, int] = field(default_factory=dict)
-    timed_out: bool = False
+    """Counters of one solve, filled in while it runs."""
+
+    __slots__ = ("orders_tested", "nodes", "elapsed_s", "per_level", "timed_out")
+
+    def __init__(
+        self,
+        orders_tested: int = 0,
+        nodes: int = 0,
+        elapsed_s: float = 0.0,
+        per_level: dict[int, int] | None = None,
+        timed_out: bool = False,
+    ) -> None:
+        self.orders_tested = orders_tested
+        self.nodes = nodes
+        self.elapsed_s = elapsed_s
+        self.per_level = {} if per_level is None else per_level
+        self.timed_out = timed_out
+
+    def __repr__(self) -> str:
+        return "SolveStats(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     value: int | None
     witness: BookEmbedding | None
     exhaustive: bool

@@ -7,7 +7,6 @@ with the package.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import permutations
 from itertools import product as iproduct
 
@@ -177,9 +176,9 @@ def rotate_spine(emb, k: int):
     if n == 0:
         return emb
     k %= n
-    return replace(emb, spine=emb.spine[k:] + emb.spine[:k])
+    return emb._replace(spine=emb.spine[k:] + emb.spine[:k])
 
 
 def reflect_spine(emb):
     """The embedding with its spine reversed; pages are untouched."""
-    return replace(emb, spine=emb.spine[::-1])
+    return emb._replace(spine=emb.spine[::-1])

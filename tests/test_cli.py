@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import matchbook
-from matchbook import constructions
+from matchbook import constructions, solver
 from matchbook.cli import main
 from matchbook.constructions import complete_embedding, kpcq_embedding
 from matchbook.formats import (
@@ -403,7 +403,7 @@ def test_product_scheme_under_a_page_cap_below_the_witness_is_unresolved(capsys,
     )
     assert code == 1
     assert json.loads(out) == {"unresolved": True, "reason": "right factor admits no dispersable witness"}
-    assert err.startswith("unresolved by construction")
+    assert err.startswith("unresolved: ")
 
 
 @pytest.mark.parametrize("method", ["solver", "auto"])
@@ -412,8 +412,8 @@ def test_solver_under_a_page_cap_below_the_answer_is_unresolved(capsys, tmp_path
     # pages, so under a cap of 2 there is no embedding, which is unresolved
     # on stdout, and auto does not run the solver a second time
     calls = []
-    exact_mbt = constructions.solver.exact_mbt
-    monkeypatch.setattr(constructions.solver, "exact_mbt", lambda *a: calls.append(a) or exact_mbt(*a))
+    exact_mbt = solver.exact_mbt
+    monkeypatch.setattr(solver, "exact_mbt", lambda *a: calls.append(a) or exact_mbt(*a))
     gp = tmp_path / "g.json"
     save_graph(Graph(6, complete_bipartite(3, 3).edges, name="K3,3"), gp)
     code, out, err = run(capsys, "embed", str(gp), "--method", method, "--max-pages", "2")
@@ -421,7 +421,7 @@ def test_solver_under_a_page_cap_below_the_answer_is_unresolved(capsys, tmp_path
     assert json.loads(out) == {
         "unresolved": True, "reason": "exact search found no embedding in 2 pages or fewer"
     }
-    assert err.startswith("unresolved by construction")
+    assert err.startswith("unresolved: ")
     assert len(calls) == 1
 
 
@@ -517,6 +517,77 @@ def test_cli_import_leaves_process_pool_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n") == ["False", "False []", ""]
+
+
+# runs `python -m matchbook ARGV` in this interpreter and prints its exit code
+# and the modules the command loaded beyond the interpreter's own start-up
+LOAD_PROBE = (
+    "import contextlib, io, json, runpy, sys\n"
+    "before = set(sys.modules)\n"
+    "sys.argv[0] = 'matchbook'\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    try:\n"
+    "        runpy.run_module('matchbook', run_name='__main__', alter_sys=True)\n"
+    "    except SystemExit as exc:\n"
+    "        code = exc.code\n"
+    "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+)
+
+
+def _loaded_by(argv, cwd):
+    src = str(Path(matchbook.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        pytest.param(["gen", "--family", "kpcq", "--p", "4", "--q", "3"], set(), id="gen"),
+        pytest.param(["verify", "k.json", "e.json"], set(), id="verify"),
+        pytest.param(["render", "e.json"], {"render"}, id="render"),
+        pytest.param(["embed", "k.json"], {"constructions"}, id="embed-kpcq"),
+        pytest.param(["embed", "c5.json"], {"constructions", "solver"}, id="embed-by-solver"),
+        pytest.param(["solve", "c5.json"], {"solver"}, id="solve"),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
+    # a fresh interpreter per command: gen and verify need no construction,
+    # solver or renderer, an embedding by a construction needs no solver,
+    # and no command builds its records through dataclasses
+    save_graph(kpcq(4, 3), tmp_path / "k.json")
+    save_embedding(kpcq_embedding(4, 3).embedding, tmp_path / "e.json")
+    save_graph(Graph(5, cycle(5).edges), tmp_path / "c5.json")  # untagged: the solver embeds it
+    code, new = _loaded_by(argv, tmp_path)
+    assert code == 0
+    assert {m.split(".", 1)[1] for m in new if m.startswith("matchbook.")} & {
+        "constructions", "solver", "render"
+    } == loads
+    assert "dataclasses" not in new
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, matchbook\nprint(sorted(m for m in sys.modules if m.startswith('matchbook')))\n"
+    src = str(Path(matchbook.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "['matchbook']\n"
+
+
+def test_misfiring_construction_is_a_construction_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(constructions, "_direct_page", lambda p, q, u, v: 0)
+    gp = tmp_path / "g.json"
+    save_graph(kpcq(3, 3), gp)
+    code, out, err = run(capsys, "embed", str(gp))
+    assert code == 1 and out == ""
+    assert err.startswith("construction error: scheme kpcq-odd-direct produced ")
 
 
 def _deep_text(kind, depth, embedding):

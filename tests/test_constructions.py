@@ -239,7 +239,7 @@ def test_witness_for_a_bipartite_product_takes_the_product_scheme(monkeypatch):
     def no_solver(*args, **kwargs):
         raise AssertionError("the exact solver ran")
 
-    monkeypatch.setattr(cons.solver, "exact_mbt", no_solver)
+    monkeypatch.setattr("matchbook.solver.exact_mbt", no_solver)
     b = cartesian_product(cycle(4), path(3))
     w = witness_for(b)
     assert w is not None and w.embedding.page_count == max_degree(b) == 4
