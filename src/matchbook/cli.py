@@ -110,8 +110,13 @@ def _cmd_embed(args) -> int:
             outcome = constructions.construct(g, constructions.SCHEME_SOLVER, opts)
         elif method.startswith("construction:"):
             scheme = method.split(":", 1)[1]
-            if scheme in ("auto", constructions.SCHEME_SOLVER):
-                raise ValueError(f"unknown scheme {scheme!r} after construction:; use --method {scheme}")
+            known = _construction_schemes()
+            if scheme not in known:
+                if scheme in ("auto", constructions.SCHEME_SOLVER):
+                    hint = f"use --method {scheme}"
+                else:
+                    hint = "known: " + ", ".join(known)
+                raise ValueError(f"unknown scheme {scheme!r} after construction:; {hint}")
             outcome = constructions.construct(g, scheme, opts)
         else:
             raise ValueError(f"unknown method {method!r}")
@@ -169,6 +174,9 @@ def _cmd_solve(args) -> int:
             "elapsed_s": round(res.stats.elapsed_s, 3),
             "per_level": {str(k): v for k, v in res.stats.per_level.items()},
             "timed_out": res.stats.timed_out,
+            "kernel_calls": res.stats.kernel_calls,
+            "clique_refuted": res.stats.clique_refuted,
+            "repaired": res.stats.repaired,
         },
         "witness": formats.embedding_to_dict(res.witness) if res.witness else None,
     }
@@ -213,16 +221,21 @@ def _add_solver_flags(sp) -> None:
     sp.add_argument("--no-symmetry", action="store_true", help="enumerate all spine orders")
 
 
+def _construction_schemes() -> list[str]:
+    """The schemes of ``constructions.SCHEMES`` that ``construction:`` takes."""
+    from .constructions import SCHEME_SOLVER, SCHEMES
+
+    return [s for s in SCHEMES if s != SCHEME_SOLVER]
+
+
 class _EmbedHelp(argparse.HelpFormatter):
-    """Ends the --method help with the schemes of ``constructions.SCHEMES``,
-    loading that module only when the help is shown."""
+    """Ends the --method help with the schemes ``construction:`` takes,
+    loading ``constructions`` only when the help is shown."""
 
     def _get_help_string(self, action):
         if action.dest != "method":
             return action.help
-        from .constructions import SCHEME_SOLVER, SCHEMES
-
-        return action.help + ", ".join(s for s in SCHEMES if s != SCHEME_SOLVER)
+        return action.help + ", ".join(_construction_schemes())
 
 
 def build_parser() -> argparse.ArgumentParser:

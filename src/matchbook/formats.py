@@ -204,9 +204,5 @@ def load_embedding(path: str | Path) -> EmbeddingDocument:
     return parse_embedding_text(Path(path).read_text())
 
 
-def save_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(dumps(graph_to_dict(g)))
-
-
 def save_embedding(emb: BookEmbedding, path: str | Path, scheme: str | None = None) -> None:
     Path(path).write_text(dumps(embedding_to_dict(emb, scheme)))

@@ -23,6 +23,13 @@ prefix search places twin vertices in increasing order (``_PrefixSearch``),
 since swapping twins maps every skipped order to an earlier one that is
 just as feasible. Neither changes a value, certificate or witness; only
 the node counters fall.
+
+Two more rules give a prefix the kernel's verdict without running it, from
+the conflicts its last placement added (``_PrefixSearch.settle``): k+1
+edges that all conflict refute it, since each page holds at most one of
+them, and a repair of the parent's colouring that stays proper shows it
+feasible. Each proves the verdict a complete kernel search returns, so the
+search takes the same path; witness pages still come from the kernel.
 """
 
 from __future__ import annotations
@@ -311,9 +318,17 @@ def lower_bound(g: Graph, deadline: float | None = None) -> BoundCertificate:
 
 
 class SolveStats:
-    """Counters of one solve, filled in while it runs."""
+    """Counters of one solve, filled in while it runs.
 
-    __slots__ = ("orders_tested", "nodes", "elapsed_s", "per_level", "timed_out")
+    ``nodes`` and ``kernel_calls`` count the colouring kernel's work in
+    the order scan; ``clique_refuted`` and ``repaired`` count the prefixes
+    settled without it (see ``_PrefixSearch``).
+    """
+
+    __slots__ = (
+        "orders_tested", "nodes", "elapsed_s", "per_level", "timed_out",
+        "kernel_calls", "clique_refuted", "repaired",
+    )
 
     def __init__(
         self,
@@ -322,12 +337,18 @@ class SolveStats:
         elapsed_s: float = 0.0,
         per_level: dict[int, int] | None = None,
         timed_out: bool = False,
+        kernel_calls: int = 0,
+        clique_refuted: int = 0,
+        repaired: int = 0,
     ) -> None:
         self.orders_tested = orders_tested
         self.nodes = nodes
         self.elapsed_s = elapsed_s
         self.per_level = {} if per_level is None else per_level
         self.timed_out = timed_out
+        self.kernel_calls = kernel_calls
+        self.clique_refuted = clique_refuted
+        self.repaired = repaired
 
     def __repr__(self) -> str:
         return "SolveStats(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
@@ -384,6 +405,37 @@ class _PrefixSearch:
     per open or closed neighbourhood, and the rule places each class in
     increasing order, so checking v's nearest smaller twin suffices.
     Without symmetry the search stays plain enumeration: it is the oracle.
+
+    A child whose placement of v decided new conflicts is first offered to
+    two rules, and the kernel runs only when neither settles it. Both read
+    only the child's masks, whose conflicts hold in every completion, and
+    each new conflict pairs an edge f at v with an edge g not at v (edges
+    at v already conflict through v).
+    - Clique (``clique``): if k+1 edges all conflict under the masks, they
+      do so in every completion; a page holds pairwise non-conflicting
+      edges, so it holds at most one of them, and k pages cannot hold all
+      k+1. The masks are not k-colourable and the prefix is INFEASIBLE,
+      the verdict of the kernel's complete search. It looks only through
+      the new pairs: a FOUND parent has no such clique among its own
+      conflicts.
+    - Repair (``repair``), below a FOUND parent: the parent's colouring is
+      proper on the parent's masks, and the child's masks differ only by
+      the new pairs (f, g), so only an edge f at v can clash with its
+      class. Each clashing f moves to a class that holds none of its
+      conflicts, checked against the classes as they stand, and conflicts
+      are symmetric, so no move creates a clash and none stays. The result
+      is a proper colouring in k classes: the masks are k-colourable, the
+      kernel's complete search would return FOUND, and below a free vertex
+      FOUND only means "descend".
+    So every prefix gets the verdict the kernel gives it when its search
+    completes, and the search visits, prunes and counts the same prefixes:
+    the witness spine, ``per_level`` and ``orders_tested`` are unchanged.
+    Only a kernel call that would run out of its node budget (UNKNOWN,
+    which also descends) can end differently, as a settled verdict. The
+    colours of a verdict the kernel did not give on the state's own masks
+    never reach a witness: a full spine holding one is coloured again by
+    the kernel, whose calls all run on masks that the search without the
+    rules also passed to it, so the pages are unchanged and nodes only fall.
     """
 
     def __init__(self, g: Graph, k: int, symmetry: bool, deadline: float | None):
@@ -407,6 +459,9 @@ class _PrefixSearch:
         self.deadline = deadline
         self.settled = 0  # orders refuted or tested so far
         self.nodes = 0
+        self.kernel_calls = 0
+        self.clique_refuted = 0
+        self.repaired = 0
         self.unknown = False
 
     def root(self):
@@ -414,13 +469,13 @@ class _PrefixSearch:
         return self.place(state, 0)[0] if self.pinned else state
 
     def place(self, state, v: int):
-        """The state extended by vertex v, and whether that decided a new
-        conflict."""
+        """The state extended by vertex v, and the mask of the edges whose
+        conflicts that placement grew (0 when it decided none)."""
         spine, pos, masks, odd = state
         here = len(spine)
         pos = pos[:]
         pos[v] = here
-        changed = False
+        grown = 0
         rest = self.inc[v] & odd[-1]
         while rest:
             low = rest & -rest
@@ -430,15 +485,15 @@ class _PrefixSearch:
             new = straddling(odd, pos[b if a == v else a], here) & ~masks[f]
             if not new:
                 continue
-            if not changed:
+            if not grown:
                 masks = masks[:]
-                changed = True
+            grown |= low | new
             masks[f] |= new
             while new:
                 bit = new & -new
                 masks[bit.bit_length() - 1] |= low
                 new ^= bit
-        return (spine + (v,), pos, masks, odd + (odd[-1] ^ self.inc[v],)), changed
+        return (spine + (v,), pos, masks, odd + (odd[-1] ^ self.inc[v],)), grown
 
     def leaves(self, spine: tuple[int, ...]) -> int:
         """Canonical spine orders that extend the prefix."""
@@ -456,30 +511,120 @@ class _PrefixSearch:
     def kernel(self, masks: list[int]) -> ColoringOutcome:
         deadline = self.deadline
         out = color_graph(masks, self.k, DEFAULT_ORDER_NODES, deadline)
+        self.kernel_calls += 1
         self.nodes += out.nodes
         if out.status == UNKNOWN and deadline is not None and time.monotonic() > deadline:
             raise _Timeout
         return out
 
+    def settle(
+        self, before: list[int], masks: list[int], v: int, grown: int, parent: ColoringOutcome
+    ) -> ColoringOutcome | None:
+        """The verdict on a child whose placement of v grew the conflicts of
+        the edges in ``grown``, from the parent's masks ``before`` and
+        verdict: INFEASIBLE from a clique, FOUND from a repaired colouring,
+        or None when neither settles it and the kernel must."""
+        if self.clique(before, masks, v, grown):
+            self.clique_refuted += 1
+            return ColoringOutcome(INFEASIBLE)
+        if parent.status == FOUND:
+            colors = self.repair(masks, v, grown, parent.colors)
+            if colors is not None:
+                self.repaired += 1
+                return ColoringOutcome(FOUND, colors)
+        return None
+
+    def clique(self, before: list[int], masks: list[int], v: int, grown: int) -> int:
+        """The mask of k+1 edges that all conflict under ``masks``, found
+        through a conflict (f, g) that placing v added to ``before``, or 0.
+
+        Inside the common neighbours ``masks[f] & masks[g]``, a greedy
+        search takes the candidate with the most neighbours among the
+        candidates and keeps only that one's neighbours, until it holds k−1
+        edges or too few candidates are left.
+        """
+        rest = self.inc[v] & grown
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            f = low.bit_length() - 1
+            near = masks[f]
+            new = near & ~before[f]
+            while new:
+                bit = new & -new
+                new ^= bit
+                found = low | bit
+                cand = near & masks[bit.bit_length() - 1]
+                need = self.k - 1
+                while need and cand.bit_count() >= need:
+                    best = score = -1
+                    left = cand
+                    while left:
+                        one = left & -left
+                        left ^= one
+                        e = one.bit_length() - 1
+                        hits = (masks[e] & cand).bit_count()
+                        if hits > score:
+                            best, score = e, hits
+                    found |= 1 << best
+                    cand &= masks[best]
+                    need -= 1
+                if not need:
+                    return found
+        return 0
+
+    def repair(
+        self, masks: list[int], v: int, grown: int, colors: tuple[int, ...]
+    ) -> tuple[int, ...] | None:
+        """``colors``, a proper k-colouring of the masks before v was
+        placed, made proper on ``masks``: each edge at v that conflicts with
+        its own colour class moves to the lowest class it does not conflict
+        with. None when such an edge fits no class."""
+        colors = list(colors)
+        members = [0] * self.k  # per colour, the edges holding it
+        for e, c in enumerate(colors):
+            members[c] |= 1 << e
+        rest = self.inc[v] & grown
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            f = low.bit_length() - 1
+            near = masks[f]
+            c = colors[f]
+            if not near & members[c]:
+                continue
+            to = next((d for d in range(self.k) if not near & members[d]), None)
+            if to is None:
+                return None
+            members[c] ^= low
+            members[to] |= low
+            colors[f] = to
+        return tuple(colors)
+
     def run(self):
         """Searches the orders below the root and returns the earliest
         feasible (spine, pages), or None.
 
-        The search keeps its own stack of [state, the kernel's verdict on
-        its masks, next vertex to try], so its depth (up to the vertex
-        count) is not bounded by Python's recursion limit. A child whose
-        placement decided no new conflict inherits its parent's verdict.
+        The search keeps its own stack of [state, the verdict on its masks,
+        next vertex to try, whether the kernel gave that verdict on these
+        masks], so its depth (up to the vertex count) is not bounded by
+        Python's recursion limit. A child whose placement decided no new
+        conflict inherits its parent's verdict; one that decided some is
+        first offered to ``settle``, and the kernel runs only when that
+        settles nothing. A full spine whose FOUND did not come from the
+        kernel on its own masks is coloured again by the kernel, so that
+        witness pages are the kernel's.
         """
         n = self.n
         twin = self.twin
         stack: list[list] = []
-        state, out = self.root(), None
+        state, out, cold = self.root(), None, True
         while True:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise _Timeout
             spine = state[0]
-            if out is None:
-                out = self.kernel(state[2])
+            if out is None or (len(spine) == n and not cold and out.status == FOUND):
+                out, cold = self.kernel(state[2]), True
             if out.status == INFEASIBLE:
                 self.settled += self.leaves(spine)
             elif len(spine) == n:
@@ -488,7 +633,7 @@ class _PrefixSearch:
                     return spine, out.colors
                 self.unknown = True
             else:
-                stack.append([state, out, 0])
+                stack.append([state, out, 0, cold])
             while stack:
                 frame = stack[-1]
                 parent, v = frame[0], frame[2]
@@ -502,8 +647,10 @@ class _PrefixSearch:
                     v += 1
                 if v < n:
                     frame[2] = v + 1
-                    state, changed = self.place(parent, v)
-                    out = None if changed else frame[1]
+                    state, grown = self.place(parent, v)
+                    out, cold = frame[1], frame[3]
+                    if grown:
+                        out, cold = self.settle(parent[2], state[2], v, grown, out), False
                     break
                 stack.pop()
             else:
@@ -523,6 +670,9 @@ def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, st
         return search.run(), search.unknown
     finally:
         stats.nodes += search.nodes
+        stats.kernel_calls += search.kernel_calls
+        stats.clique_refuted += search.clique_refuted
+        stats.repaired += search.repaired
         stats.orders_tested += search.settled
         stats.per_level[k] = search.settled
 

@@ -18,10 +18,10 @@ from matchbook.formats import (
     load_embedding,
     load_graph,
     save_embedding,
-    save_graph,
 )
 from matchbook.graphs import FAMILIES, Graph, complete, complete_bipartite, cycle, delete_edge, kpcq, path
 from matchbook.layout import BookEmbedding, validate
+from graph_files import save_graph
 
 
 def run(capsys, *args):
@@ -145,8 +145,12 @@ def test_embed_unknown_scheme_is_usage_error(capsys, tmp_path):
     gp = tmp_path / "c5.json"
     save_graph(cycle(5), gp)
     code, out, err = run(capsys, "embed", str(gp), "--method", "construction:nosuch")
-    assert code == 2 and out == ""
-    assert "known: auto, complete-congruence" in err
+    assert code == 2 and out == "" and err.count("\n") == 1
+    known = err.rstrip("\n").split("; known: ", 1)[1].split(", ")
+    assert known == [s for s in constructions.SCHEMES if s != constructions.SCHEME_SOLVER]
+    # every scheme offered is taken after construction:, though not every one applies to C5
+    for scheme in known:
+        assert "unknown scheme" not in run(capsys, "embed", str(gp), "--method", f"construction:{scheme}")[2]
 
 
 @pytest.mark.parametrize("scheme", ["auto", "solver"])
@@ -365,6 +369,9 @@ def test_solve_kpcq_3_3(capsys, tmp_path):
     assert code == 0
     res = json.loads(out)
     assert res["value"] == 5 and res["exhaustive"]
+    stats = solver.exact_mbt(kpcq(3, 3)).stats
+    counters = ("nodes", "kernel_calls", "clique_refuted", "repaired")
+    assert [res["stats"][key] for key in counters] == [getattr(stats, key) for key in counters]
 
 
 def test_embed_unresolved_and_fallback_solver(capsys, tmp_path):

@@ -25,7 +25,6 @@ from matchbook.formats import (
     parse_graph_dict,
     parse_graph_text,
     save_embedding,
-    save_graph,
 )
 from matchbook.graphs import (
     Graph,
@@ -38,6 +37,7 @@ from matchbook.graphs import (
     path,
 )
 from matchbook.layout import BookEmbedding
+from graph_files import save_graph
 
 GENERATED = [
     complete(1),

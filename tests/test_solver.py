@@ -1,7 +1,7 @@
 import json
 import sys
 import time
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 from math import factorial
 from pathlib import Path
 
@@ -484,25 +484,28 @@ def test_timeout_bounds_a_search_without_kernel_calls(p, q, timeout, limit):
     assert res.value == res.witness.page_count and validate(res.witness).valid
 
 
+CORPUS_FILE = Path(__file__).parent.parent / "perfbench" / "corpus.json"
+CORPUS = [e for entries in json.loads(CORPUS_FILE.read_text()).values() for e in entries]
+
+
 def _corpus_graph(name):
-    corpus = json.loads((Path(__file__).parent.parent / "perfbench" / "corpus.json").read_text())
-    entry = next(e for entries in corpus.values() for e in entries if e["name"] == name)
-    return Graph(entry["n"], tuple(map(tuple, entry["edges"])))
+    entry = next(e for e in CORPUS if e["name"] == name)
+    return Graph(entry["n"], tuple(map(tuple, entry["edges"])), name=name)
 
 
 # value, nodes, orders, per-level orders and witness spine of exact_mbt on
 # committed corpus graphs; any change to the branching of the kernel or of
 # the prefix search moves the node or order counts
 GOLDEN = {
-    "R7-267": (5, 7834, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6)),
-    "K6-e": (6, 102, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5)),
-    "Q3": (3, 66, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7)),
-    "Petersen": (4, 129, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8)),
-    "K3xC3": (5, 143, 2, {5: 2}, (0, 1, 2, 3, 4, 5, 6, 8, 7)),
+    "R7-267": (5, 3039, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6)),
+    "K6-e": (6, 83, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5)),
+    "Q3": (3, 36, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7)),
+    "Petersen": (4, 67, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8)),
+    "K3xC3": (5, 89, 2, {5: 2}, (0, 1, 2, 3, 4, 5, 6, 8, 7)),
     # twin-rich graphs: the twin rule lowers their nodes, never their orders
-    "K8-e": (8, 9005, 2521, {7: 2520, 8: 1}, (0, 1, 2, 3, 4, 5, 6, 7)),
-    "K8-3e": (7, 2652, 1009, {7: 1009}, (0, 2, 4, 6, 5, 3, 1, 7)),
-    "K4,4": (4, 100, 1839, {4: 1839}, (0, 4, 1, 5, 2, 6, 3, 7)),
+    "K8-e": (8, 8955, 2521, {7: 2520, 8: 1}, (0, 1, 2, 3, 4, 5, 6, 7)),
+    "K8-3e": (7, 2156, 1009, {7: 1009}, (0, 2, 4, 6, 5, 3, 1, 7)),
+    "K4,4": (4, 48, 1839, {4: 1839}, (0, 4, 1, 5, 2, 6, 3, 7)),
 }
 
 
@@ -515,12 +518,24 @@ def test_exact_mbt_golden_counters(name, jobs):
     assert res.exhaustive and validate(res.witness).valid
 
 
-def replay(g, spine, symmetry=False):
-    search = _PrefixSearch(g, 1, symmetry, None)
+@pytest.mark.parametrize(
+    "g", [*(_corpus_graph(e["name"]) for e in CORPUS), kpcq(3, 51)], ids=lambda g: g.name
+)
+def test_witness_pages_come_from_the_kernel(g):
+    # prefixes settled by a repaired colouring must not leak into the witness
+    res = exact_mbt(g)
+    assert res.witness.pages == color_graph(conflict_masks(g, res.witness.spine), res.value).colors
+
+
+def replay_state(search, spine):
     state = search.root()
     for v in spine[len(state[0]):]:
         state = search.place(state, v)[0]
-    return state[2]
+    return state
+
+
+def replay(g, spine, symmetry=False):
+    return replay_state(_PrefixSearch(g, 1, symmetry, None), spine)[2]
 
 
 @given(graphs(min_n=1, max_n=8), st.randoms(use_true_random=False), st.integers(0, 8))
@@ -543,6 +558,40 @@ def test_prefix_masks_are_decided_conflicts(g, rnd, cut):
         assert decided == common
     else:
         assert all(d & ~c == 0 for d, c in zip(decided, common))
+
+
+@given(graphs(min_n=2, max_n=8), st.randoms(use_true_random=False), st.integers(-1, 1))
+@settings(max_examples=100)
+def test_settle_rules_prove_their_verdicts(g, rnd, offset):
+    # each placement along a random spine that leaves at most four vertices
+    # free, with the conflicts that hold in every completion of its prefix
+    k = max(1, max_degree(g) + offset)
+    spine = list(range(g.n))
+    rnd.shuffle(spine)
+    head = max(0, g.n - 4)
+    completions = [(*spine[:head], *tail) for tail in permutations(spine[head:])]
+    full = [brute_conflict_masks(order, g.edges) for order in completions]
+    search = _PrefixSearch(g, k, False, None)
+    parent = replay_state(search, spine[:head])
+    for at in range(head, g.n):
+        v = spine[at]
+        child, grown = search.place(parent, v)
+        common = [-1] * g.m
+        for order, masks in zip(completions, full):
+            if order[: at + 1] == tuple(spine[: at + 1]):
+                common = [c & mask for c, mask in zip(common, masks)]
+        clique = search.clique(parent[2], child[2], v, grown)
+        members = [i for i in range(g.m) if clique >> i & 1]
+        assert len(members) in (0, k + 1)
+        assert all(common[a] >> b & 1 for a, b in combinations(members, 2))
+        before = color_graph(parent[2], k)
+        if before.status == FOUND:
+            colors = search.repair(child[2], v, grown, before.colors)
+            if colors is not None:
+                assert not clique and all(0 <= c < k for c in colors)
+                conflicts = [(a, b) for a in range(g.m) for b in range(g.m) if common[a] >> b & 1]
+                assert all(colors[a] != colors[b] for a, b in conflicts)
+        parent = child
 
 
 def flat_scan(g, k, symmetry):
