@@ -176,7 +176,8 @@ def _cmd_solve(args) -> int:
             "timed_out": res.stats.timed_out,
             "kernel_calls": res.stats.kernel_calls,
             "clique_refuted": res.stats.clique_refuted,
-            "repaired": res.stats.repaired,
+            # kept so the stdout keys do not change; no prefix is repaired
+            "repaired": 0,
         },
         "witness": formats.embedding_to_dict(res.witness) if res.witness else None,
     }

@@ -14,7 +14,10 @@ The search for the thickness iterates k upward from a certified lower
 bound and searches spine orders one per dihedral symmetry class, so the
 first feasible level is exact and carries an exhaustiveness certificate.
 Orders are searched by prefix: the conflicts a prefix decides hold in
-every order that extends it, so one kernel call can refute a subtree.
+every order that extends it, so k+1 edges that all conflict under them
+refute a whole subtree, since each page holds at most one of those edges.
+That clique is the only rule that prunes a prefix; the kernel colours only
+full spines, each on its own conflicts, and gives the witness pages.
 
 Two rules skip search that cannot change an answer, and each is proved
 where it is applied: the chromatic-index search starts at the overfull
@@ -22,14 +25,7 @@ count (``overfull_bound``), since no level below it can succeed, and the
 prefix search places twin vertices in increasing order (``_PrefixSearch``),
 since swapping twins maps every skipped order to an earlier one that is
 just as feasible. Neither changes a value, certificate or witness; only
-the node counters fall.
-
-Two more rules give a prefix the kernel's verdict without running it, from
-the conflicts its last placement added (``_PrefixSearch.settle``): k+1
-edges that all conflict refute it, since each page holds at most one of
-them, and a repair of the parent's colouring that stays proper shows it
-feasible. Each proves the verdict a complete kernel search returns, so the
-search takes the same path; witness pages still come from the kernel.
+the search counters fall.
 """
 
 from __future__ import annotations
@@ -320,14 +316,14 @@ def lower_bound(g: Graph, deadline: float | None = None) -> BoundCertificate:
 class SolveStats:
     """Counters of one solve, filled in while it runs.
 
-    ``nodes`` and ``kernel_calls`` count the colouring kernel's work in
-    the order scan; ``clique_refuted`` and ``repaired`` count the prefixes
-    settled without it (see ``_PrefixSearch``).
+    ``kernel_calls`` counts the full spines the order scan coloured and
+    ``nodes`` the kernel's search nodes over them; ``clique_refuted``
+    counts the prefixes refuted by a clique (see ``_PrefixSearch``).
     """
 
     __slots__ = (
         "orders_tested", "nodes", "elapsed_s", "per_level", "timed_out",
-        "kernel_calls", "clique_refuted", "repaired",
+        "kernel_calls", "clique_refuted",
     )
 
     def __init__(
@@ -339,7 +335,6 @@ class SolveStats:
         timed_out: bool = False,
         kernel_calls: int = 0,
         clique_refuted: int = 0,
-        repaired: int = 0,
     ) -> None:
         self.orders_tested = orders_tested
         self.nodes = nodes
@@ -348,7 +343,6 @@ class SolveStats:
         self.timed_out = timed_out
         self.kernel_calls = kernel_calls
         self.clique_refuted = clique_refuted
-        self.repaired = repaired
 
     def __repr__(self) -> str:
         return "SolveStats(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
@@ -378,15 +372,14 @@ class _PrefixSearch:
     two closed edges (both ends placed) cross as on a full spine, and a
     closed edge conflicts with an open edge whose placed end lies strictly
     between its ends. The decided conflicts hold in every completion, so
-    when the kernel refutes them at k pages, every order below the prefix
-    is refuted. A full spine decides every pair, as ``conflict_masks``.
+    a proof that they need more than k pages refutes every order below the
+    prefix. A full spine decides every pair, as ``conflict_masks``.
 
     A state is (spine prefix, positions, masks, parity masks ``odd``); masks
     start from the shared-endpoint conflicts, and placing v adds, for each
     edge it closes, the crossings ``layout.straddling`` decides that the
     masks lack. A level is one search from the root, in this process, so
-    its result and counters do not depend on ``SolveOptions.jobs``. Each
-    kernel call gets ``DEFAULT_ORDER_NODES`` nodes.
+    its result and counters do not depend on ``SolveOptions.jobs``.
 
     Under symmetry, twins are placed in increasing order. Twins are
     u ≠ v with N(u)∖{v} = N(v)∖{u}, so the swap (u v) is an automorphism
@@ -401,41 +394,27 @@ class _PrefixSearch:
     σ[1] gives v = σ'[-1] > σ'[1]. So every skipped order has an earlier
     canonical order just as feasible, the earliest feasible order is never
     skipped, and the witness, ``per_level`` and ``orders_tested`` are those
-    of the plain search; only kernel nodes are saved. Twins are one class
+    of the plain search; only search is saved. Twins are one class
     per open or closed neighbourhood, and the rule places each class in
     increasing order, so checking v's nearest smaller twin suffices.
     Without symmetry the search stays plain enumeration: it is the oracle.
 
-    A child whose placement of v decided new conflicts is first offered to
-    two rules, and the kernel runs only when neither settles it. Both read
-    only the child's masks, whose conflicts hold in every completion, and
-    each new conflict pairs an edge f at v with an edge g not at v (edges
-    at v already conflict through v).
-    - Clique (``clique``): if k+1 edges all conflict under the masks, they
-      do so in every completion; a page holds pairwise non-conflicting
-      edges, so it holds at most one of them, and k pages cannot hold all
-      k+1. The masks are not k-colourable and the prefix is INFEASIBLE,
-      the verdict of the kernel's complete search. It looks only through
-      the new pairs: a FOUND parent has no such clique among its own
-      conflicts.
-    - Repair (``repair``), below a FOUND parent: the parent's colouring is
-      proper on the parent's masks, and the child's masks differ only by
-      the new pairs (f, g), so only an edge f at v can clash with its
-      class. Each clashing f moves to a class that holds none of its
-      conflicts, checked against the classes as they stand, and conflicts
-      are symmetric, so no move creates a clash and none stays. The result
-      is a proper colouring in k classes: the masks are k-colourable, the
-      kernel's complete search would return FOUND, and below a free vertex
-      FOUND only means "descend".
-    So every prefix gets the verdict the kernel gives it when its search
-    completes, and the search visits, prunes and counts the same prefixes:
-    the witness spine, ``per_level`` and ``orders_tested`` are unchanged.
-    Only a kernel call that would run out of its node budget (UNKNOWN,
-    which also descends) can end differently, as a settled verdict. The
-    colours of a verdict the kernel did not give on the state's own masks
-    never reach a witness: a full spine holding one is coloured again by
-    the kernel, whose calls all run on masks that the search without the
-    rules also passed to it, so the pages are unchanged and nodes only fall.
+    A prefix is refuted or descended, and the kernel runs only on full
+    spines. A placement of v that decided new conflicts is offered to
+    ``clique``, which reads only the child's masks, whose conflicts hold in
+    every completion. Each new conflict pairs an edge f at v with an edge g
+    not at v (edges at v already conflict through v). If k+1 edges all
+    conflict under the masks, they do so in every completion; a page holds
+    pairwise non-conflicting edges, so it holds at most one of them, and k
+    pages cannot hold all k+1. Every order below the prefix is infeasible,
+    and those k+1 edges are the certificate. Any other prefix is descended,
+    and each full spine it leads to is coloured by the kernel on its own
+    masks, which are ``conflict_masks`` of that spine. A refuted prefix
+    holds no feasible order, and every other canonical order is tested, so
+    the first feasible order, ``per_level`` and ``orders_tested`` are those
+    of one kernel call per order in enumeration sequence; only a full spine
+    whose call runs out of its ``DEFAULT_ORDER_NODES`` nodes (UNKNOWN) makes
+    the level not exhaustive.
     """
 
     def __init__(self, g: Graph, k: int, symmetry: bool, deadline: float | None):
@@ -461,7 +440,6 @@ class _PrefixSearch:
         self.nodes = 0
         self.kernel_calls = 0
         self.clique_refuted = 0
-        self.repaired = 0
         self.unknown = False
 
     def root(self):
@@ -495,17 +473,17 @@ class _PrefixSearch:
                 new ^= bit
         return (spine + (v,), pos, masks, odd + (odd[-1] ^ self.inc[v],)), grown
 
-    def leaves(self, spine: tuple[int, ...]) -> int:
-        """Canonical spine orders that extend the prefix."""
-        free = self.n - len(spine)
+    def leaves(self, state, v: int) -> int:
+        """Canonical spine orders that extend the state's prefix by v."""
+        spine, pos = state[0], state[1]
+        free = self.n - len(spine) - 1
         if not self.mirror:
             return factorial(free)
-        if len(spine) == 1:
-            return factorial(free) // 2
-        # the order is canonical when its last vertex exceeds spine[1]
+        # the order is canonical when its last vertex exceeds its second
+        second = spine[1] if len(spine) > 1 else v
         if free == 0:
-            return int(spine[-1] > spine[1])
-        larger = sum(1 for v in range(spine[1] + 1, self.n) if v not in spine)
+            return int(v > second)
+        larger = pos[second + 1:].count(-1) - (v > second)
         return larger * factorial(free - 1)
 
     def kernel(self, masks: list[int]) -> ColoringOutcome:
@@ -516,23 +494,6 @@ class _PrefixSearch:
         if out.status == UNKNOWN and deadline is not None and time.monotonic() > deadline:
             raise _Timeout
         return out
-
-    def settle(
-        self, before: list[int], masks: list[int], v: int, grown: int, parent: ColoringOutcome
-    ) -> ColoringOutcome | None:
-        """The verdict on a child whose placement of v grew the conflicts of
-        the edges in ``grown``, from the parent's masks ``before`` and
-        verdict: INFEASIBLE from a clique, FOUND from a repaired colouring,
-        or None when neither settles it and the kernel must."""
-        if self.clique(before, masks, v, grown):
-            self.clique_refuted += 1
-            return ColoringOutcome(INFEASIBLE)
-        if parent.status == FOUND:
-            colors = self.repair(masks, v, grown, parent.colors)
-            if colors is not None:
-                self.repaired += 1
-                return ColoringOutcome(FOUND, colors)
-        return None
 
     def clique(self, before: list[int], masks: list[int], v: int, grown: int) -> int:
         """The mask of k+1 edges that all conflict under ``masks``, found
@@ -573,84 +534,50 @@ class _PrefixSearch:
                     return found
         return 0
 
-    def repair(
-        self, masks: list[int], v: int, grown: int, colors: tuple[int, ...]
-    ) -> tuple[int, ...] | None:
-        """``colors``, a proper k-colouring of the masks before v was
-        placed, made proper on ``masks``: each edge at v that conflicts with
-        its own colour class moves to the lowest class it does not conflict
-        with. None when such an edge fits no class."""
-        colors = list(colors)
-        members = [0] * self.k  # per colour, the edges holding it
-        for e, c in enumerate(colors):
-            members[c] |= 1 << e
-        rest = self.inc[v] & grown
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            f = low.bit_length() - 1
-            near = masks[f]
-            c = colors[f]
-            if not near & members[c]:
-                continue
-            to = next((d for d in range(self.k) if not near & members[d]), None)
-            if to is None:
-                return None
-            members[c] ^= low
-            members[to] |= low
-            colors[f] = to
-        return tuple(colors)
-
     def run(self):
         """Searches the orders below the root and returns the earliest
         feasible (spine, pages), or None.
 
-        The search keeps its own stack of [state, the verdict on its masks,
-        next vertex to try, whether the kernel gave that verdict on these
-        masks], so its depth (up to the vertex count) is not bounded by
-        Python's recursion limit. A child whose placement decided no new
-        conflict inherits its parent's verdict; one that decided some is
-        first offered to ``settle``, and the kernel runs only when that
-        settles nothing. A full spine whose FOUND did not come from the
-        kernel on its own masks is coloured again by the kernel, so that
-        witness pages are the kernel's.
+        The search keeps its own stack of [state, next vertex to try], so
+        its depth (up to the vertex count) is not bounded by Python's
+        recursion limit. A child is refuted by ``clique`` or descended, and
+        only a full spine that is not refuted gets a kernel call.
         """
         n = self.n
         twin = self.twin
         stack: list[list] = []
-        state, out, cold = self.root(), None, True
+        state, refuted = self.root(), 0
         while True:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise _Timeout
             spine = state[0]
-            if out is None or (len(spine) == n and not cold and out.status == FOUND):
-                out, cold = self.kernel(state[2]), True
-            if out.status == INFEASIBLE:
-                self.settled += self.leaves(spine)
+            if refuted:
+                self.clique_refuted += 1
+                self.settled += leaves
             elif len(spine) == n:
                 self.settled += 1
+                out = self.kernel(state[2])
                 if out.status == FOUND:
                     return spine, out.colors
-                self.unknown = True
+                if out.status == UNKNOWN:
+                    self.unknown = True
             else:
-                stack.append([state, out, 0, cold])
+                stack.append([state, 0])
             while stack:
                 frame = stack[-1]
-                parent, v = frame[0], frame[2]
+                parent, v = frame
                 pos = parent[1]
                 while v < n:
-                    if pos[v] < 0 and (leaves := self.leaves(parent[0] + (v,))):
+                    if pos[v] < 0 and (leaves := self.leaves(parent, v)):
                         t = twin[v]
                         if t < 0 or pos[t] >= 0:
                             break
                         self.settled += leaves  # a smaller twin is free
                     v += 1
                 if v < n:
-                    frame[2] = v + 1
+                    frame[1] = v + 1
                     state, grown = self.place(parent, v)
-                    out, cold = frame[1], frame[3]
-                    if grown:
-                        out, cold = self.settle(parent[2], state[2], v, grown, out), False
+                    refuted = grown and self.clique(parent[2], state[2], v, grown)
                     break
                 stack.pop()
             else:
@@ -672,7 +599,6 @@ def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, st
         stats.nodes += search.nodes
         stats.kernel_calls += search.kernel_calls
         stats.clique_refuted += search.clique_refuted
-        stats.repaired += search.repaired
         stats.orders_tested += search.settled
         stats.per_level[k] = search.settled
 

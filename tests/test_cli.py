@@ -370,8 +370,10 @@ def test_solve_kpcq_3_3(capsys, tmp_path):
     res = json.loads(out)
     assert res["value"] == 5 and res["exhaustive"]
     stats = solver.exact_mbt(kpcq(3, 3)).stats
-    counters = ("nodes", "kernel_calls", "clique_refuted", "repaired")
+    counters = ("nodes", "kernel_calls", "clique_refuted")
     assert [res["stats"][key] for key in counters] == [getattr(stats, key) for key in counters]
+    # no prefix is settled by a repaired colouring any more; the key stays
+    assert res["stats"]["repaired"] == 0
 
 
 def test_embed_unresolved_and_fallback_solver(capsys, tmp_path):

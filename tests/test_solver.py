@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 from itertools import combinations, islice, permutations
@@ -17,6 +18,7 @@ from matchbook.graphs import (
     cycle,
     delete_edge,
     hypercube,
+    is_connected,
     is_regular,
     kpcq,
     max_degree,
@@ -469,13 +471,14 @@ def test_overfull_start_never_passes_the_chromatic_index(g):
 
 
 @pytest.mark.parametrize(
-    "p, q, timeout, limit", [(3, 151, 1, 3), (30, 31, 0.5, 1.25)], ids=["K3xC151", "K30xC31"]
+    "p, q, timeout, limit", [(3, 1201, 1, 3), (30, 31, 0.5, 1.25)], ids=["K3xC1201", "K30xC31"]
 )
 def test_timeout_bounds_a_search_without_kernel_calls(p, q, timeout, limit):
-    # most placements on K3xC151 decide no new conflict, so the search
-    # descends on its parent's verdict without calling the kernel; on
-    # K30xC31 (m = 14,415) the greedy upper bound, built before the first
-    # deadline check, must itself stay well inside the budget
+    # K3xC1201 (n = 3,603) reaches its first full spine, and so its only
+    # kernel call, after more than 3 s of placements on a 2-core x86-64
+    # host, so the deadline must stop the descent itself; on K30xC31
+    # (m = 14,415) the greedy upper bound, built before the first deadline
+    # check, must itself stay well inside the budget
     g = kpcq(p, q)
     start = time.monotonic()
     res = exact_mbt(g, SolveOptions(timeout_s=timeout))
@@ -497,15 +500,15 @@ def _corpus_graph(name):
 # committed corpus graphs; any change to the branching of the kernel or of
 # the prefix search moves the node or order counts
 GOLDEN = {
-    "R7-267": (5, 3039, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6)),
-    "K6-e": (6, 83, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5)),
-    "Q3": (3, 36, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7)),
-    "Petersen": (4, 67, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8)),
-    "K3xC3": (5, 89, 2, {5: 2}, (0, 1, 2, 3, 4, 5, 6, 8, 7)),
+    "R7-267": (5, 59, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6)),
+    "K6-e": (6, 14, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5)),
+    "Q3": (3, 12, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7)),
+    "Petersen": (4, 15, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8)),
+    "K3xC3": (5, 35, 2, {5: 2}, (0, 1, 2, 3, 4, 5, 6, 8, 7)),
     # twin-rich graphs: the twin rule lowers their nodes, never their orders
-    "K8-e": (8, 8955, 2521, {7: 2520, 8: 1}, (0, 1, 2, 3, 4, 5, 6, 7)),
-    "K8-3e": (7, 2156, 1009, {7: 1009}, (0, 2, 4, 6, 5, 3, 1, 7)),
-    "K4,4": (4, 48, 1839, {4: 1839}, (0, 4, 1, 5, 2, 6, 3, 7)),
+    "K8-e": (8, 27, 2521, {7: 2520, 8: 1}, (0, 1, 2, 3, 4, 5, 6, 7)),
+    "K8-3e": (7, 25, 1009, {7: 1009}, (0, 2, 4, 6, 5, 3, 1, 7)),
+    "K4,4": (4, 16, 1839, {4: 1839}, (0, 4, 1, 5, 2, 6, 3, 7)),
 }
 
 
@@ -522,7 +525,7 @@ def test_exact_mbt_golden_counters(name, jobs):
     "g", [*(_corpus_graph(e["name"]) for e in CORPUS), kpcq(3, 51)], ids=lambda g: g.name
 )
 def test_witness_pages_come_from_the_kernel(g):
-    # prefixes settled by a repaired colouring must not leak into the witness
+    # the witness pages are the kernel's colouring of the witness spine
     res = exact_mbt(g)
     assert res.witness.pages == color_graph(conflict_masks(g, res.witness.spine), res.value).colors
 
@@ -562,7 +565,7 @@ def test_prefix_masks_are_decided_conflicts(g, rnd, cut):
 
 @given(graphs(min_n=2, max_n=8), st.randoms(use_true_random=False), st.integers(-1, 1))
 @settings(max_examples=100)
-def test_settle_rules_prove_their_verdicts(g, rnd, offset):
+def test_clique_refutations_hold_in_every_completion(g, rnd, offset):
     # each placement along a random spine that leaves at most four vertices
     # free, with the conflicts that hold in every completion of its prefix
     k = max(1, max_degree(g) + offset)
@@ -584,13 +587,6 @@ def test_settle_rules_prove_their_verdicts(g, rnd, offset):
         members = [i for i in range(g.m) if clique >> i & 1]
         assert len(members) in (0, k + 1)
         assert all(common[a] >> b & 1 for a, b in combinations(members, 2))
-        before = color_graph(parent[2], k)
-        if before.status == FOUND:
-            colors = search.repair(child[2], v, grown, before.colors)
-            if colors is not None:
-                assert not clique and all(0 <= c < k for c in colors)
-                conflicts = [(a, b) for a in range(g.m) for b in range(g.m) if common[a] >> b & 1]
-                assert all(colors[a] != colors[b] for a, b in conflicts)
         parent = child
 
 
@@ -628,8 +624,23 @@ SCAN_CORPUS = [
 ]
 
 
+def random_connected(count, seed):
+    """The first ``count`` connected draws of G(n, p) from
+    random.Random(seed), with 3 <= n <= 7 and 0.3 <= p <= 0.9."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 7)
+        p = rng.uniform(0.3, 0.9)
+        edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+        g = Graph(n, edges, name=f"S{seed}-{len(out)}")
+        if is_connected(g):
+            out.append(g)
+    return out
+
+
 @pytest.mark.parametrize("symmetry", [True, False])
-@pytest.mark.parametrize("g", SCAN_CORPUS, ids=lambda g: g.name)
+@pytest.mark.parametrize("g", SCAN_CORPUS + random_connected(100, 17), ids=lambda g: g.name)
 def test_prefix_scan_matches_flat_scan(g, symmetry):
     res = exact_mbt(g, SolveOptions(symmetry=symmetry))
     assert res.exhaustive
@@ -643,8 +654,14 @@ def test_prefix_scan_matches_flat_scan(g, symmetry):
         if k < res.value:
             assert found is None and tested == everything
         else:
-            assert found is not None
-            assert (found[0], found[1]) == (res.witness.spine, res.witness.pages)
+            assert found is not None and found[0] == res.witness.spine
+            # exact_mbt does not scan the greedy upper bound's level: a
+            # witness there keeps the greedy pages of the identity spine
+            greedy = first_fit_pages(g, tuple(range(g.n)))
+            if res.value == max(greedy, default=-1) + 1:
+                assert res.witness.pages == greedy
+            else:
+                assert found[1] == res.witness.pages
 
 
 @pytest.mark.parametrize("symmetry", [True, False])
@@ -652,7 +669,9 @@ def test_prefix_scan_matches_flat_scan(g, symmetry):
     "g", [cycle(5), complete(5), delete_edge(complete(6), (0, 1))], ids=lambda g: g.name
 )
 def test_prefix_scan_below_the_bound(g, symmetry):
-    # below the chromatic index the empty prefix already refutes the level
+    # below the bound every order is infeasible; the scan refutes each one
+    # by a clique at a prefix or by the kernel at its full spine, and must
+    # count every order without claiming an unknown
     k = lower_bound(g).value - 1
     stats = SolveStats()
     found, unknown = _scan_level(g, k, SolveOptions(symmetry=symmetry), None, stats)
@@ -672,6 +691,42 @@ def test_scan_stats_do_not_depend_on_jobs(g, symmetry):
     assert not a.timed_out and not b.timed_out
     assert sum(a.per_level.values()) == a.orders_tested
 
+
+@pytest.mark.parametrize(
+    "g, symmetry",
+    [
+        *(pytest.param(g, s, id=f"{g.name}-{s}") for g in SCAN_CORPUS for s in (True, False)),
+        *(pytest.param(_corpus_graph(e["name"]), True, id=f"corpus-{e['name']}") for e in CORPUS),
+    ],
+)
+def test_kernel_colours_each_full_spine_once(g, symmetry, monkeypatch):
+    # prefixes are refuted by cliques alone: the scan calls the kernel only
+    # right after placing a full spine, on that spine's conflict masks, and
+    # never twice on one spine
+    res = exact_mbt(g, SolveOptions(symmetry=symmetry))
+    placed, coloured = [()], []
+    place, kernel = _PrefixSearch.place, solver.color_graph
+
+    def placing(self, state, v):
+        child = place(self, state, v)
+        placed[0] = child[0][0]
+        return child
+
+    def colouring(masks, k, *args):
+        spine = placed[0]
+        assert len(spine) == g.n and masks == conflict_masks(g, spine)
+        coloured.append(spine)
+        return kernel(masks, k, *args)
+
+    monkeypatch.setattr(_PrefixSearch, "place", placing)
+    monkeypatch.setattr(solver, "color_graph", colouring)
+    calls = 0
+    for k in range(res.bound.value, res.value + 1):
+        stats = SolveStats()
+        found, unknown = _scan_level(g, k, SolveOptions(symmetry=symmetry), None, stats)
+        calls += stats.kernel_calls
+        assert (found is not None) == (k == res.value) and not unknown
+    assert len(coloured) == len(set(coloured)) == calls
 
 
 def test_prefix_search_depth_is_not_bounded_by_the_recursion_limit():
