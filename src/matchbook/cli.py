@@ -176,6 +176,7 @@ def _cmd_solve(args) -> int:
             "timed_out": res.stats.timed_out,
             "kernel_calls": res.stats.kernel_calls,
             "clique_refuted": res.stats.clique_refuted,
+            "clique_steps": res.stats.clique_steps,
             # kept so the stdout keys do not change; no prefix is repaired
             "repaired": 0,
         },

@@ -16,8 +16,9 @@ first feasible level is exact and carries an exhaustiveness certificate.
 Orders are searched by prefix: the conflicts a prefix decides hold in
 every order that extends it, so k+1 edges that all conflict under them
 refute a whole subtree, since each page holds at most one of those edges.
-That clique is the only rule that prunes a prefix; the kernel colours only
-full spines, each on its own conflicts, and gives the witness pages.
+That clique is the only rule that prunes a prefix, and an exact search
+finds one whenever one holds a newly decided conflict; the kernel colours
+only full spines, each on its own conflicts, and gives the witness pages.
 
 Two rules skip search that cannot change an answer, and each is proved
 where it is applied: the chromatic-index search starts at the overfull
@@ -316,14 +317,14 @@ def lower_bound(g: Graph, deadline: float | None = None) -> BoundCertificate:
 class SolveStats:
     """Counters of one solve, filled in while it runs.
 
-    ``kernel_calls`` counts the full spines the order scan coloured and
-    ``nodes`` the kernel's search nodes over them; ``clique_refuted``
-    counts the prefixes refuted by a clique (see ``_PrefixSearch``).
+    ``kernel_calls`` counts the full spines the scan coloured, ``nodes`` the
+    kernel's search nodes over them, ``clique_refuted`` the prefixes that a
+    clique refuted and ``clique_steps`` the steps of the clique search.
     """
 
     __slots__ = (
         "orders_tested", "nodes", "elapsed_s", "per_level", "timed_out",
-        "kernel_calls", "clique_refuted",
+        "kernel_calls", "clique_refuted", "clique_steps",
     )
 
     def __init__(
@@ -335,6 +336,7 @@ class SolveStats:
         timed_out: bool = False,
         kernel_calls: int = 0,
         clique_refuted: int = 0,
+        clique_steps: int = 0,
     ) -> None:
         self.orders_tested = orders_tested
         self.nodes = nodes
@@ -343,6 +345,7 @@ class SolveStats:
         self.timed_out = timed_out
         self.kernel_calls = kernel_calls
         self.clique_refuted = clique_refuted
+        self.clique_steps = clique_steps
 
     def __repr__(self) -> str:
         return "SolveStats(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
@@ -357,7 +360,7 @@ class SolveResult(NamedTuple):
 
 
 class _Timeout(Exception):
-    """The solve's deadline passed before or during a kernel call."""
+    """The deadline passed before or during a kernel call or clique search."""
 
 
 class _PrefixSearch:
@@ -400,21 +403,20 @@ class _PrefixSearch:
     Without symmetry the search stays plain enumeration: it is the oracle.
 
     A prefix is refuted or descended, and the kernel runs only on full
-    spines. A placement of v that decided new conflicts is offered to
-    ``clique``, which reads only the child's masks, whose conflicts hold in
-    every completion. Each new conflict pairs an edge f at v with an edge g
-    not at v (edges at v already conflict through v). If k+1 edges all
-    conflict under the masks, they do so in every completion; a page holds
-    pairwise non-conflicting edges, so it holds at most one of them, and k
-    pages cannot hold all k+1. Every order below the prefix is infeasible,
-    and those k+1 edges are the certificate. Any other prefix is descended,
-    and each full spine it leads to is coloured by the kernel on its own
-    masks, which are ``conflict_masks`` of that spine. A refuted prefix
-    holds no feasible order, and every other canonical order is tested, so
-    the first feasible order, ``per_level`` and ``orders_tested`` are those
-    of one kernel call per order in enumeration sequence; only a full spine
-    whose call runs out of its ``DEFAULT_ORDER_NODES`` nodes (UNKNOWN) makes
-    the level not exhaustive.
+    spines. A placement of v that decided new conflicts goes to ``clique``,
+    which reads only the child's masks, whose conflicts hold in every
+    completion. If k+1 edges all conflict under them, a page holds at most
+    one of them in every completion, and k pages cannot hold all k+1: every
+    order below the prefix is infeasible, and those edges are its
+    certificate. ``clique`` is exact (each prune is proved where it is
+    made), so a prefix is descended only when no such edges hold a new
+    conflict. Each full spine is coloured by the kernel on its own masks,
+    ``conflict_masks`` of that spine. A refuted prefix holds no feasible
+    order, and every other canonical order is tested, so the first feasible
+    order, ``per_level`` and ``orders_tested`` are those of one kernel call
+    per order in enumeration sequence; only a full spine whose call runs out
+    of its ``DEFAULT_ORDER_NODES`` nodes (UNKNOWN) makes the level not
+    exhaustive.
     """
 
     def __init__(self, g: Graph, k: int, symmetry: bool, deadline: float | None):
@@ -440,6 +442,7 @@ class _PrefixSearch:
         self.nodes = 0
         self.kernel_calls = 0
         self.clique_refuted = 0
+        self.clique_steps = 0
         self.unknown = False
 
     def root(self):
@@ -473,18 +476,17 @@ class _PrefixSearch:
                 new ^= bit
         return (spine + (v,), pos, masks, odd + (odd[-1] ^ self.inc[v],)), grown
 
-    def leaves(self, state, v: int) -> int:
-        """Canonical spine orders that extend the state's prefix by v."""
+    def leaves(self, state, v: int) -> tuple[int, int]:
+        """(c, f): c·f! canonical spine orders extend the state's prefix by v."""
         spine, pos = state[0], state[1]
         free = self.n - len(spine) - 1
         if not self.mirror:
-            return factorial(free)
+            return 1, free
         # the order is canonical when its last vertex exceeds its second
         second = spine[1] if len(spine) > 1 else v
         if free == 0:
-            return int(v > second)
-        larger = pos[second + 1:].count(-1) - (v > second)
-        return larger * factorial(free - 1)
+            return int(v > second), 0
+        return pos[second + 1:].count(-1) - (v > second), free - 1
 
     def kernel(self, masks: list[int]) -> ColoringOutcome:
         deadline = self.deadline
@@ -496,14 +498,12 @@ class _PrefixSearch:
         return out
 
     def clique(self, before: list[int], masks: list[int], v: int, grown: int) -> int:
-        """The mask of k+1 edges that all conflict under ``masks``, found
-        through a conflict (f, g) that placing v added to ``before``, or 0.
-
-        Inside the common neighbours ``masks[f] & masks[g]``, a greedy
-        search takes the candidate with the most neighbours among the
-        candidates and keeps only that one's neighbours, until it holds k−1
-        edges or too few candidates are left.
-        """
+        """The mask of k+1 edges that all conflict under ``masks`` and hold a
+        conflict (f, g) that placing v added to ``before``, or 0 if none do.
+        Each new pair asks ``extend`` for k−1 more in ``masks[f] & masks[g]``;
+        within one f, each g tried leaves the later pairs' candidates, since
+        every clique holding f and g was searched with it."""
+        need = self.k - 1
         rest = self.inc[v] & grown
         while rest:
             low = rest & -rest
@@ -514,25 +514,53 @@ class _PrefixSearch:
             while new:
                 bit = new & -new
                 new ^= bit
-                found = low | bit
+                near ^= bit
                 cand = near & masks[bit.bit_length() - 1]
-                need = self.k - 1
-                while need and cand.bit_count() >= need:
-                    best = score = -1
-                    left = cand
-                    while left:
-                        one = left & -left
-                        left ^= one
-                        e = one.bit_length() - 1
-                        hits = (masks[e] & cand).bit_count()
-                        if hits > score:
-                            best, score = e, hits
-                    found |= 1 << best
-                    cand &= masks[best]
-                    need -= 1
-                if not need:
+                if cand.bit_count() >= need and (found := self.extend(masks, low | bit, cand, need)):
                     return found
         return 0
+
+    def extend(self, masks: list[int], found: int, cand: int, need: int) -> int:
+        """``found`` plus ``need`` edges of ``cand`` that pairwise conflict
+        under ``masks``, or 0 when there are none. With more than two to
+        spare, a greedy colouring first splits the candidates into classes
+        of pairwise non-conflicting edges; like a page, a class holds at most
+        one edge of a clique, so fewer than ``need`` classes refute (Tomita
+        & Seki). The search takes candidates lowest index first on its own
+        stack, so ``need`` is not bounded by the recursion limit, and gives
+        up a depth or a candidate once fewer candidates are left than edges
+        wanted. The deadline is checked every 1,024 steps."""
+        if cand.bit_count() > need + 2:
+            left, classes = cand, 0
+            while left and classes < need:
+                free, classes = left, classes + 1
+                while free:
+                    bit = free & -free
+                    left ^= bit
+                    free = (free ^ bit) & ~masks[bit.bit_length() - 1]
+            if classes < need:
+                return 0
+        stack, chosen, want = [cand], 0, need
+        while want:
+            self.clique_steps += 1
+            if not self.clique_steps & 1023 and self.deadline is not None and time.monotonic() > self.deadline:
+                raise _Timeout
+            cand = stack[-1]
+            if cand.bit_count() < want:
+                stack.pop()
+                if not stack:
+                    return 0
+                chosen ^= 1 << chosen.bit_length() - 1  # the last taken is the highest
+                want += 1
+                continue
+            bit = cand & -cand
+            stack[-1] = cand = cand ^ bit
+            cand &= masks[bit.bit_length() - 1]
+            if cand.bit_count() >= want - 1:
+                stack.append(cand)
+                chosen |= bit
+                want -= 1
+        return found | chosen
 
     def run(self):
         """Searches the orders below the root and returns the earliest
@@ -553,7 +581,7 @@ class _PrefixSearch:
             spine = state[0]
             if refuted:
                 self.clique_refuted += 1
-                self.settled += leaves
+                self.settled += ways[0] * factorial(ways[1])
             elif len(spine) == n:
                 self.settled += 1
                 out = self.kernel(state[2])
@@ -568,11 +596,11 @@ class _PrefixSearch:
                 parent, v = frame
                 pos = parent[1]
                 while v < n:
-                    if pos[v] < 0 and (leaves := self.leaves(parent, v)):
+                    if pos[v] < 0 and (ways := self.leaves(parent, v))[0]:
                         t = twin[v]
                         if t < 0 or pos[t] >= 0:
                             break
-                        self.settled += leaves  # a smaller twin is free
+                        self.settled += ways[0] * factorial(ways[1])  # a smaller twin is free
                     v += 1
                 if v < n:
                     frame[1] = v + 1
@@ -599,6 +627,7 @@ def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, st
         stats.nodes += search.nodes
         stats.kernel_calls += search.kernel_calls
         stats.clique_refuted += search.clique_refuted
+        stats.clique_steps += search.clique_steps
         stats.orders_tested += search.settled
         stats.per_level[k] = search.settled
 

@@ -7,7 +7,7 @@ with the package.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 from itertools import product as iproduct
 
 
@@ -67,6 +67,18 @@ def brute_conflict_masks(spine, edges) -> list[int]:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
+
+
+def brute_clique(masks, size: int, pairs) -> tuple | None:
+    """Some ``size`` vertices that pairwise adjoin under the adjacency
+    bitmasks and hold both ends of one of ``pairs``, or None, by trying
+    every combination of the pair's common neighbours."""
+    for a, b in pairs:
+        common = [e for e in range(len(masks)) if masks[a] >> e & 1 and masks[b] >> e & 1]
+        for rest in combinations(common, size - 2):
+            if all(masks[x] >> y & 1 for x, y in combinations(rest, 2)):
+                return (a, b, *rest)
+    return None
 
 
 def brute_violations(spine, edges, pages) -> list[tuple]:

@@ -35,6 +35,7 @@ from matchbook.solver import (
     SolveOptions,
     SolveStats,
     _PrefixSearch,
+    _Timeout,
     _scan_level,
     color_graph,
     conflict_masks,
@@ -46,6 +47,7 @@ from matchbook.solver import (
 )
 from oracles import (
     brute_chromatic_index,
+    brute_clique,
     brute_conflict_masks,
     brute_feasible,
     check_odd_cycle,
@@ -530,6 +532,16 @@ def test_witness_pages_come_from_the_kernel(g):
     assert res.witness.pages == color_graph(conflict_masks(g, res.witness.spine), res.value).colors
 
 
+@pytest.mark.parametrize("g", [_corpus_graph("R7-267"), kpcq(3, 51)], ids=lambda g: g.name)
+def test_orders_are_counted_only_for_settled_children(g, monkeypatch):
+    # a child needs its count of canonical orders only when it is settled
+    # without a descent; these graphs have no twins, so only refuted ones
+    counted = []
+    monkeypatch.setattr(solver, "factorial", lambda x: counted.append(x) or factorial(x))
+    res = exact_mbt(g)
+    assert res.exhaustive and len(counted) == res.stats.clique_refuted
+
+
 def replay_state(search, spine):
     state = search.root()
     for v in spine[len(state[0]):]:
@@ -588,6 +600,71 @@ def test_clique_refutations_hold_in_every_completion(g, rnd, offset):
         assert len(members) in (0, k + 1)
         assert all(common[a] >> b & 1 for a, b in combinations(members, 2))
         parent = child
+
+
+def check_clique_is_exact(g, k, spine):
+    # at each placement, ``clique`` finds k+1 pairwise-conflicting edges
+    # through a new conflict exactly when the brute-force oracle does
+    search = _PrefixSearch(g, k, False, None)
+    parent = search.root()
+    for v in spine:
+        child, grown = search.place(parent, v)
+        before, masks = parent[2], child[2]
+        pairs = [
+            (f, e) for f in range(g.m) if v in g.edges[f] for e in range(g.m) if (masks[f] & ~before[f]) >> e & 1
+        ]
+        clique = search.clique(before, masks, v, grown) if grown else 0
+        assert bool(clique) == (brute_clique(masks, k + 1, pairs) is not None)
+        members = [i for i in range(g.m) if clique >> i & 1]
+        assert len(members) in (0, k + 1)
+        assert all(masks[a] >> b & 1 for a, b in combinations(members, 2))
+        assert not clique or any(clique >> f & clique >> e & 1 for f, e in pairs)
+        parent = child
+
+
+@given(graphs(min_n=2, max_n=7), st.randoms(use_true_random=False), st.integers(-1, 1))
+@settings(max_examples=150)
+def test_clique_finds_every_clique_through_a_new_conflict(g, rnd, offset):
+    spine = list(range(g.n))
+    rnd.shuffle(spine)
+    check_clique_is_exact(g, max(1, max_degree(g) + offset), spine)
+
+
+def test_clique_finds_what_a_greedy_search_missed():
+    # the greedy search that took the most-connected candidate first found
+    # no 6-clique at the last placement of this prefix; one exists
+    edges = ((0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (1, 6), (2, 3), (2, 4), (2, 6), (3, 5), (4, 5), (4, 6))
+    g = Graph(7, edges)
+    prefix = (5, 6, 4, 2, 3, 1)
+    check_clique_is_exact(g, 5, prefix)
+    search = _PrefixSearch(g, 5, False, None)
+    parent = replay_state(search, prefix[:-1])
+    child, grown = search.place(parent, prefix[-1])
+    assert search.clique(parent[2], child[2], prefix[-1], grown).bit_count() == 6
+
+
+@pytest.mark.parametrize("g", [complete(16), delete_edge(complete(16), (0, 1))], ids=lambda g: g.name)
+def test_clique_search_stays_small_on_dense_graphs(g):
+    # the colouring bound keeps the exact search polynomial here; without
+    # it the search takes millions of steps on K16
+    res = exact_mbt(g, SolveOptions(timeout_s=None))
+    assert res.value == 16 and res.exhaustive
+    assert 0 < res.stats.clique_steps < 20_000
+
+
+def test_clique_search_depth_is_not_bounded_by_the_recursion_limit():
+    need = sys.getrecursionlimit() + 50
+    size = need + 50
+    everything = (1 << size) - 1
+    masks = [everything ^ 1 << i for i in range(size)]
+    search = _PrefixSearch(path(2), need + 1, False, None)
+    assert search.extend(masks, 0, everything, need) == (1 << need) - 1
+    assert search.extend(masks, 0, everything, size + 1) == 0
+    # a passed deadline stops the search at its 1,024th step
+    late = _PrefixSearch(path(2), need + 1, False, time.monotonic() - 1)
+    with pytest.raises(_Timeout):
+        late.extend(masks, 0, everything, need)
+    assert late.clique_steps == 1024
 
 
 def flat_scan(g, k, symmetry):
