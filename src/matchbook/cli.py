@@ -177,6 +177,7 @@ def _cmd_solve(args) -> int:
             "kernel_calls": res.stats.kernel_calls,
             "clique_refuted": res.stats.clique_refuted,
             "clique_steps": res.stats.clique_steps,
+            "parity_refuted": res.stats.parity_refuted,
             # kept so the stdout keys do not change; no prefix is repaired
             "repaired": 0,
         },

@@ -16,9 +16,12 @@ first feasible level is exact and carries an exhaustiveness certificate.
 Orders are searched by prefix: the conflicts a prefix decides hold in
 every order that extends it, so k+1 edges that all conflict under them
 refute a whole subtree, since each page holds at most one of those edges.
-That clique is the only rule that prunes a prefix, and an exact search
-finds one whenever one holds a newly decided conflict; the kernel colours
-only full spines, each on its own conflicts, and gives the witness pages.
+An exact search finds such a clique whenever one holds a newly decided
+conflict. Page parity is the other rule that prunes a prefix: a page is a
+non-crossing matching, so it cannot cover every vertex of an odd run
+strictly inside one of its edges, and a vertex with k edges is covered on
+all k pages. The kernel colours only full spines, each on its own
+conflicts, and gives the witness pages.
 
 Two rules skip search that cannot change an answer, and each is proved
 where it is applied: the chromatic-index search starts at the overfull
@@ -319,12 +322,13 @@ class SolveStats:
 
     ``kernel_calls`` counts the full spines the scan coloured, ``nodes`` the
     kernel's search nodes over them, ``clique_refuted`` the prefixes that a
-    clique refuted and ``clique_steps`` the steps of the clique search.
+    clique refuted, ``clique_steps`` the steps of the clique search and
+    ``parity_refuted`` the prefixes that page parity refuted.
     """
 
     __slots__ = (
         "orders_tested", "nodes", "elapsed_s", "per_level", "timed_out",
-        "kernel_calls", "clique_refuted", "clique_steps",
+        "kernel_calls", "clique_refuted", "clique_steps", "parity_refuted",
     )
 
     def __init__(
@@ -337,6 +341,7 @@ class SolveStats:
         kernel_calls: int = 0,
         clique_refuted: int = 0,
         clique_steps: int = 0,
+        parity_refuted: int = 0,
     ) -> None:
         self.orders_tested = orders_tested
         self.nodes = nodes
@@ -346,6 +351,7 @@ class SolveStats:
         self.kernel_calls = kernel_calls
         self.clique_refuted = clique_refuted
         self.clique_steps = clique_steps
+        self.parity_refuted = parity_refuted
 
     def __repr__(self) -> str:
         return "SolveStats(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
@@ -378,11 +384,12 @@ class _PrefixSearch:
     a proof that they need more than k pages refutes every order below the
     prefix. A full spine decides every pair, as ``conflict_masks``.
 
-    A state is (spine prefix, positions, masks, parity masks ``odd``); masks
-    start from the shared-endpoint conflicts, and placing v adds, for each
-    edge it closes, the crossings ``layout.straddling`` decides that the
-    masks lack. A level is one search from the root, in this process, so
-    its result and counters do not depend on ``SolveOptions.jobs``.
+    A state is (spine prefix, positions, masks, parity masks ``odd``, free
+    vertices, ``ends``); masks start from the shared-endpoint conflicts,
+    and placing v adds, for each edge it closes, the crossings
+    ``layout.straddling`` decides that the masks lack. A level is one
+    search from the root, in this process, so its result and counters do
+    not depend on ``SolveOptions.jobs``.
 
     Under symmetry, twins are placed in increasing order. Twins are
     u ≠ v with N(u)∖{v} = N(v)∖{u}, so the swap (u v) is an automorphism
@@ -417,6 +424,28 @@ class _PrefixSearch:
     per order in enumeration sequence; only a full spine whose call runs out
     of its ``DEFAULT_ORDER_NODES`` nodes (UNKNOWN) makes the level not
     exhaustive.
+
+    Before ``place``, page parity may refute the child instead, with no
+    state built. Call a vertex short when it has fewer than k edges.
+    Placing v at position ``here`` refutes the child when it closes an edge
+    (u, v) with ``here − pos[u]`` even and no short vertex at positions
+    ``pos[u]+1 … here−1``. Proof: in any completion, (u, v) lies on some
+    page P, a non-crossing matching. The vertices strictly between u and v
+    are placed already, there are ``here − pos[u] − 1`` of them (odd), and
+    an edge of P at one of them ends strictly between u and v too, since
+    one ending outside would cross (u, v) and one ending at u or v would
+    share its end. So P covers an even number of them and leaves one
+    uncovered. But each has k or more edges and a page holds at most one
+    edge at a vertex, so it is covered on every page, P included (a vertex
+    with more than k edges fits no k pages at all). Hence no completion
+    fits k pages. ``ends[0]`` and ``ends[1]``
+    hold the placed vertices at an even and an odd distance before the next
+    position, counting only those at or after the last short vertex: a
+    short vertex starts them afresh, as it may lie at an end of (u, v) but
+    not strictly between. The child is refuted when ``near[v] & ends[0]``
+    is nonzero, and is settled with the same count of canonical orders as
+    a clique-refuted one, so the witness, ``per_level`` and
+    ``orders_tested`` do not change; only search is saved.
     """
 
     def __init__(self, g: Graph, k: int, symmetry: bool, deadline: float | None):
@@ -426,12 +455,13 @@ class _PrefixSearch:
         self.k = k
         self.pinned = symmetry and self.n >= 1
         self.mirror = symmetry and self.n >= 3
+        self.near = near = [0] * self.n  # each vertex's neighbours
+        for a, b in self.edges:
+            near[a] |= 1 << b
+            near[b] |= 1 << a
+        self.short = sum(1 << v for v in range(self.n) if near[v].bit_count() < k)
         self.twin = [-1] * self.n  # each vertex's nearest smaller twin
         if symmetry:
-            near = [0] * self.n
-            for a, b in self.edges:
-                near[a] |= 1 << b
-                near[b] |= 1 << a
             last: dict[int, int] = {}
             for v in range(self.n):
                 for hood in (near[v], near[v] | 1 << v):
@@ -443,16 +473,17 @@ class _PrefixSearch:
         self.kernel_calls = 0
         self.clique_refuted = 0
         self.clique_steps = 0
+        self.parity_refuted = 0
         self.unknown = False
 
     def root(self):
-        state = ((), [-1] * self.n, self.base, (0,))
+        state = ((), [-1] * self.n, self.base, (0,), (1 << self.n) - 1, (0, 0))
         return self.place(state, 0)[0] if self.pinned else state
 
     def place(self, state, v: int):
         """The state extended by vertex v, and the mask of the edges whose
         conflicts that placement grew (0 when it decided none)."""
-        spine, pos, masks, odd = state
+        spine, pos, masks, odd, free, ends = state
         here = len(spine)
         pos = pos[:]
         pos[v] = here
@@ -474,19 +505,20 @@ class _PrefixSearch:
                 bit = new & -new
                 masks[bit.bit_length() - 1] |= low
                 new ^= bit
-        return (spine + (v,), pos, masks, odd + (odd[-1] ^ self.inc[v],)), grown
+        ends = (0, 1 << v) if self.short >> v & 1 else (ends[1], ends[0] | 1 << v)
+        return (spine + (v,), pos, masks, odd + (odd[-1] ^ self.inc[v],), free ^ 1 << v, ends), grown
 
     def leaves(self, state, v: int) -> tuple[int, int]:
         """(c, f): c·f! canonical spine orders extend the state's prefix by v."""
-        spine, pos = state[0], state[1]
-        free = self.n - len(spine) - 1
+        spine = state[0]
+        rest = self.n - len(spine) - 1
         if not self.mirror:
-            return 1, free
+            return 1, rest
         # the order is canonical when its last vertex exceeds its second
         second = spine[1] if len(spine) > 1 else v
-        if free == 0:
+        if rest == 0:
             return int(v > second), 0
-        return pos[second + 1:].count(-1) - (v > second), free - 1
+        return (state[4] >> second + 1).bit_count() - (v > second), rest - 1
 
     def kernel(self, masks: list[int]) -> ColoringOutcome:
         deadline = self.deadline
@@ -568,11 +600,11 @@ class _PrefixSearch:
 
         The search keeps its own stack of [state, next vertex to try], so
         its depth (up to the vertex count) is not bounded by Python's
-        recursion limit. A child is refuted by ``clique`` or descended, and
-        only a full spine that is not refuted gets a kernel call.
+        recursion limit, and tries only the free vertices from that one on.
+        A child is refuted by parity or ``clique``, or descended, and only a
+        full spine that is not refuted gets a kernel call.
         """
-        n = self.n
-        twin = self.twin
+        n, twin, near = self.n, self.twin, self.near
         stack: list[list] = []
         state, refuted = self.root(), 0
         while True:
@@ -594,20 +626,29 @@ class _PrefixSearch:
             while stack:
                 frame = stack[-1]
                 parent, v = frame
-                pos = parent[1]
-                while v < n:
-                    if pos[v] < 0 and (ways := self.leaves(parent, v))[0]:
-                        t = twin[v]
-                        if t < 0 or pos[t] >= 0:
+                pos, even = parent[1], parent[5][0]
+                rest = parent[4] >> v << v
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    ways = self.leaves(parent, v)
+                    if not ways[0]:
+                        continue
+                    t = twin[v]
+                    if t < 0 or pos[t] >= 0:
+                        if not near[v] & even:
                             break
-                        self.settled += ways[0] * factorial(ways[1])  # a smaller twin is free
-                    v += 1
-                if v < n:
-                    frame[1] = v + 1
-                    state, grown = self.place(parent, v)
-                    refuted = grown and self.clique(parent[2], state[2], v, grown)
-                    break
-                stack.pop()
+                        self.parity_refuted += 1
+                    # a smaller twin is free, or v closes an edge over an odd run
+                    self.settled += ways[0] * factorial(ways[1])
+                else:
+                    stack.pop()
+                    continue
+                frame[1] = v + 1
+                state, grown = self.place(parent, v)
+                refuted = grown and self.clique(parent[2], state[2], v, grown)
+                break
             else:
                 return None
 
@@ -628,6 +669,7 @@ def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, st
         stats.kernel_calls += search.kernel_calls
         stats.clique_refuted += search.clique_refuted
         stats.clique_steps += search.clique_steps
+        stats.parity_refuted += search.parity_refuted
         stats.orders_tested += search.settled
         stats.per_level[k] = search.settled
 

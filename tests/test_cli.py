@@ -370,7 +370,7 @@ def test_solve_kpcq_3_3(capsys, tmp_path):
     res = json.loads(out)
     assert res["value"] == 5 and res["exhaustive"]
     stats = solver.exact_mbt(kpcq(3, 3)).stats
-    counters = ("nodes", "kernel_calls", "clique_refuted", "clique_steps")
+    counters = ("nodes", "kernel_calls", "clique_refuted", "clique_steps", "parity_refuted")
     assert [res["stats"][key] for key in counters] == [getattr(stats, key) for key in counters]
     # no prefix is settled by a repaired colouring any more; the key stays
     assert res["stats"]["repaired"] == 0

@@ -539,7 +539,10 @@ def test_orders_are_counted_only_for_settled_children(g, monkeypatch):
     counted = []
     monkeypatch.setattr(solver, "factorial", lambda x: counted.append(x) or factorial(x))
     res = exact_mbt(g)
-    assert res.exhaustive and len(counted) == res.stats.clique_refuted
+    s = res.stats
+    assert res.exhaustive and len(counted) == s.clique_refuted + s.parity_refuted
+    # every vertex of K3xC51 has 4 edges at its 5 pages, so parity never refutes there
+    assert (s.parity_refuted > 0) == (g.name == "R7-267")
 
 
 def replay_state(search, spine):
@@ -641,6 +644,48 @@ def test_clique_finds_what_a_greedy_search_missed():
     parent = replay_state(search, prefix[:-1])
     child, grown = search.place(parent, prefix[-1])
     assert search.clique(parent[2], child[2], prefix[-1], grown).bit_count() == 6
+
+
+@given(
+    graphs(min_n=3, max_n=7).filter(lambda g: max_degree(g) ** g.m <= 20_000),
+    st.randoms(use_true_random=False),
+    st.integers(0, 1),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_parity_refutations_hold_in_every_completion(g, rnd, offset, symmetry):
+    # each placement along a random spine (vertex 0 first under symmetry):
+    # when page parity refutes it, no completion of the prefix has k pages
+    k = max(1, max_degree(g) + offset)
+    spine = list(range(g.n))
+    rnd.shuffle(spine)
+    if symmetry:
+        spine.remove(0)
+        spine.insert(0, 0)
+    search = _PrefixSearch(g, k, symmetry, None)
+    parent = search.root()
+    for at in range(len(parent[0]), g.n):
+        v = spine[at]
+        if search.near[v] & parent[5][0]:
+            head = spine[: at + 1]
+            assert not any(brute_feasible(g.edges, (*head, *tail), k) for tail in permutations(spine[at + 1:]))
+            break
+        parent = search.place(parent, v)[0]
+
+
+def test_parity_refutes_a_prefix_that_holds_no_clique():
+    # placing 3 closes (3, 7) over 0, 1 and 2, each of degree k = 3, so the
+    # page of (3, 7) leaves one of them uncovered; no 4 edges all conflict
+    edges = ((0, 1), (0, 4), (0, 7), (1, 2), (1, 6), (2, 5), (2, 6), (3, 7), (5, 6))
+    g = Graph(8, edges)
+    prefix = (7, 0, 1, 2, 3)
+    search = _PrefixSearch(g, 3, False, None)
+    parent = replay_state(search, prefix[:-1])
+    assert search.near[3] & parent[5][0]
+    child, grown = search.place(parent, 3)
+    assert grown and search.clique(parent[2], child[2], 3, grown) == 0
+    rest = [v for v in range(8) if v not in prefix]
+    assert not any(brute_feasible(edges, (*prefix, *tail), 3) for tail in permutations(rest))
 
 
 @pytest.mark.parametrize("g", [complete(16), delete_edge(complete(16), (0, 1))], ids=lambda g: g.name)
