@@ -166,6 +166,7 @@ def _cmd_solve(args) -> int:
             "max_degree": bound.max_degree,
             "regular_degree": bound.regular_degree,
             "odd_cycle": list(bound.odd_cycle) if bound.odd_cycle else None,
+            "overfull": list(bound.overfull) if bound.overfull else None,
             "chromatic_index": bound.chromatic_index,
         },
         "stats": {

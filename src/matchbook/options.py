@@ -13,9 +13,9 @@ from typing import NamedTuple
 class SolveOptions(NamedTuple):
     """``timeout_s`` bounds the whole solve (None: no limit). ``jobs`` is
     accepted and ignored: each level is one prefix search in this process;
-    it stays because the benchmark harness still passes it. Node budgets
-    are the module constants ``DEFAULT_ORDER_NODES`` and ``DEFAULT_CHI_NODES``
-    of ``solver``."""
+    it stays because the benchmark harness still passes it. A solve's node
+    budget, per full spine, is the module constant ``DEFAULT_ORDER_NODES``
+    of ``solver``; its lower bound is a count and needs none."""
 
     max_pages: int | None = None
     timeout_s: float | None = 600.0

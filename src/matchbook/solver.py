@@ -23,13 +23,11 @@ strictly inside one of its edges, and a vertex with k edges is covered on
 all k pages. The kernel colours only full spines, each on its own
 conflicts, and gives the witness pages.
 
-Two rules skip search that cannot change an answer, and each is proved
-where it is applied: the chromatic-index search starts at the overfull
-count (``overfull_bound``), since no level below it can succeed, and the
-prefix search places twin vertices in increasing order (``_PrefixSearch``),
-since swapping twins maps every skipped order to an earlier one that is
-just as feasible. Neither changes a value, certificate or witness; only
-the search counters fall.
+The lower bound is a count and runs no search (``lower_bound``). One rule
+skips search that cannot change an answer, proved where it is applied:
+the prefix search places twin vertices in increasing order, since swapping
+twins maps every skipped order to an earlier one that is just as feasible
+(``_PrefixSearch``). Only the search counters fall.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ from typing import NamedTuple
 
 from .graphs import (
     Graph,
+    adjacency,
     bipartition,
-    degrees,
     is_connected,
     is_regular,
     max_degree,
@@ -227,38 +225,48 @@ class EdgeColoringResult(NamedTuple):
     nodes: int
 
 
-def overfull_bound(g: Graph) -> int:
-    """A lower bound on the chromatic index by counting edges.
+def overfull_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """(count, vertices): a lower bound on the chromatic index by counting
+    edges, and the vertex set of the subgraph H that gives it.
 
-    Every colour class is a matching, which covers at most ⌊n_H/2⌋ edges of
-    a subgraph H on n_H vertices, so k colours cover at most k·⌊n_H/2⌋ of
-    its m_H edges: k ≥ ⌈m_H / ⌊n_H/2⌋⌉. This takes H = G and, for even
-    n ≥ 4, H = G − v for v of least degree δ (n − 1 vertices, m − δ edges),
-    the vertex whose removal keeps the most edges. The max degree bounds
-    the chromatic index too, and the larger of the three is returned.
+    Every colour class (and every page) is a matching, which covers at most
+    ⌊n_H/2⌋ of H's m_H edges, so k ≥ ⌈m_H / ⌊n_H/2⌋⌉; recounting m_H from
+    the vertex set checks it. H starts as G and loses a vertex of least
+    degree in H, lowest label first, down to two vertices; the first H with
+    the largest count wins, and (0, ()) means no H has two vertices. Degree
+    buckets of vertex masks make this O(n + m) mask steps. As g is simple,
+    χ' ≤ Δ + 1 (Vizing, 1964), so a count above Δ is the chromatic index.
     """
-    ds = degrees(g)
-    bound = max(ds, default=0)
-    half = g.n // 2
-    if half:
-        bound = max(bound, -(-g.m // half))
-    if g.n >= 4 and g.n % 2 == 0:
-        bound = max(bound, -(-(g.m - min(ds)) // (half - 1)))
-    return bound
+    adj = adjacency(g)
+    deg = [len(a) for a in adj]
+    bucket = [0] * (max(deg, default=0) + 1)  # per degree, the vertices left with it
+    for v, d in enumerate(deg):
+        bucket[d] |= 1 << v
+    left, m, d, best, keep = (1 << g.n) - 1, g.m, 0, 0, 0
+    for size in range(g.n, 1, -1):
+        if -(-m // (size // 2)) > best:
+            best, keep = -(-m // (size // 2)), left
+        while not bucket[d]:
+            d += 1
+        low = bucket[d] & -bucket[d]
+        bucket[d] ^= low
+        left ^= low
+        m -= d
+        for u in adj[low.bit_length() - 1]:
+            if left >> u & 1:
+                bucket[deg[u]] ^= 1 << u
+                deg[u] -= 1
+                bucket[deg[u]] |= 1 << u
+        d = max(d - 1, 0)  # a neighbour of the removed vertex may now have d − 1
+    return best, tuple(v for v in range(g.n) if keep >> v & 1)
 
 
-def edge_chromatic_exact(
-    g: Graph, node_budget: int = DEFAULT_CHI_NODES, deadline: float | None = None
-) -> EdgeColoringResult | None:
-    """Exact chromatic index, or None when out of budget or past the
-    ``time.monotonic()`` deadline.
+def edge_chromatic_exact(g: Graph, node_budget: int = DEFAULT_CHI_NODES) -> EdgeColoringResult | None:
+    """Exact chromatic index, or None when out of budget.
 
     Colours the shared-endpoint conflict graph, searching k upward from
-    ``overfull_bound``, so the first success is exact: no level below that
-    bound has a colouring, and searching those levels (as a start at the
-    max degree would) could only refute them. The levels searched, and so
-    the value and the colouring found, are those of a search from the max
-    degree that finished; only the refuting levels' nodes are skipped.
+    the larger of the max degree and the ``overfull_bound`` count, so the
+    first success is exact: no level below that bound has a colouring.
     """
     if g.m > 80:
         return None
@@ -266,8 +274,8 @@ def edge_chromatic_exact(
         return EdgeColoringResult(0, (), 0)
     masks = endpoint_conflict_masks(g)
     total = 0
-    for k in range(overfull_bound(g), g.m + 1):
-        out = color_graph(masks, k, node_budget, deadline)
+    for k in range(max(max_degree(g), overfull_bound(g)[0]), g.m + 1):
+        out = color_graph(masks, k, node_budget)
         total += out.nodes
         if out.status == FOUND:
             return EdgeColoringResult(k, out.colors, total)
@@ -277,7 +285,7 @@ def edge_chromatic_exact(
 
 
 class BoundCertificate(NamedTuple):
-    """Provable page lower bound with re-checkable evidence."""
+    """Provable page lower bound with re-checkable evidence (an odd cycle or an overfull vertex set)."""
 
     value: int
     reason: str  # max-degree | chromatic-index | regular-nonbipartite
@@ -285,35 +293,26 @@ class BoundCertificate(NamedTuple):
     regular_degree: int | None = None
     odd_cycle: tuple[int, ...] | None = None
     chromatic_index: int | None = None
-    edge_coloring: tuple[int, ...] | None = None
+    overfull: tuple[int, ...] | None = None
 
 
-def lower_bound(g: Graph, deadline: float | None = None) -> BoundCertificate:
-    """Best provable lower bound on the number of pages.
+def lower_bound(g: Graph) -> BoundCertificate:
+    """Best page lower bound that counting proves, with no search.
 
-    The max degree always holds, the chromatic index refines it, and a
-    regular graph containing an odd cycle cannot meet the max-degree bound
-    at all, which pushes the bound to max degree + 1. A chromatic-index
-    search that runs out of ``DEFAULT_CHI_NODES`` nodes or past the
-    deadline leaves the max-degree bound. That search starts at the
-    overfull count (see ``edge_chromatic_exact``), so an overfull graph
-    such as K9−e gets its chromatic-index bound from a single colouring
-    at the count instead of a refutation of the max-degree level.
+    Every page is a matching, so the max degree holds. A regular graph with
+    an odd cycle cannot meet it: each page would be a non-crossing perfect
+    matching, which joins only spine positions of opposite parity, so the
+    graph would be bipartite. Otherwise an ``overfull_bound`` count above
+    the max degree is the chromatic index, with its vertex set as evidence.
     """
     if not is_connected(g):
         raise ValueError("lower_bound requires a connected graph")
-    d = max_degree(g)
-    reg = is_regular(g)
-    part = bipartition(g)
+    d, reg, part = max_degree(g), is_regular(g), bipartition(g)
     if reg is not None and not part.is_bipartite:
-        return BoundCertificate(
-            d + 1, "regular-nonbipartite", d, regular_degree=reg, odd_cycle=part.odd_cycle
-        )
-    chi = edge_chromatic_exact(g, DEFAULT_CHI_NODES, deadline)
-    if chi is not None and chi.value > d:
-        return BoundCertificate(
-            chi.value, "chromatic-index", d, chromatic_index=chi.value, edge_coloring=chi.coloring
-        )
+        return BoundCertificate(d + 1, "regular-nonbipartite", d, regular_degree=reg, odd_cycle=part.odd_cycle)
+    count, hood = overfull_bound(g)
+    if count > d:
+        return BoundCertificate(count, "chromatic-index", d, chromatic_index=count, overfull=hood)
     return BoundCertificate(d, "max-degree", d)
 
 
@@ -693,7 +692,7 @@ def exact_mbt(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
         raise ValueError("exact_mbt requires a connected graph")
     start = time.monotonic()
     deadline = start + opts.timeout_s if opts.timeout_s is not None else None
-    cert = lower_bound(g, deadline)
+    cert = lower_bound(g)
     stats = SolveStats()
 
     id_spine = tuple(range(g.n))

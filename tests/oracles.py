@@ -163,6 +163,16 @@ def check_odd_cycle(g, cert) -> bool:
     return all((min(a, b), max(a, b)) in edge_set for a, b in pairs)
 
 
+def overfull_count(g, vertices) -> int:
+    """⌈m_H / ⌊n_H/2⌋⌉ for the subgraph H of g induced by ``vertices``,
+    with m_H recounted from g's edge list; the vertices must be distinct
+    vertices of g, at least two of them."""
+    inside = set(vertices)
+    assert len(inside) == len(vertices) >= 2 and inside <= set(range(g.n))
+    m_h = sum(1 for a, b in g.edges if a in inside and b in inside)
+    return -(-m_h // (len(inside) // 2))
+
+
 def spine_orders(n: int, symmetry: bool = True):
     """Spine permutations; with symmetry=True, one per dihedral class
     (vertex 0 pinned to position 0, reflections dropped)."""

@@ -29,7 +29,7 @@ from matchbook.graphs import (
 )
 from matchbook.layout import BookEmbedding, validate
 from matchbook.solver import exact_mbt, lower_bound
-from oracles import brute_valid, check_odd_cycle
+from oracles import brute_valid, check_odd_cycle, overfull_count
 
 
 def _line(cid: int, detail: str) -> None:
@@ -217,11 +217,7 @@ def test_criterion_9_lower_bound_behavior():
             assert cert.value == max_degree(g)
         else:
             assert cert.value == cert.chromatic_index > max_degree(g)
-            coloring = cert.edge_coloring
-            for i in range(g.m):
-                for j in range(i + 1, g.m):
-                    if set(g.edges[i]) & set(g.edges[j]):
-                        assert coloring[i] != coloring[j]
+            assert overfull_count(g, cert.overfull) == cert.value
             out = color_graph(endpoint_conflict_masks(g), cert.value - 1)
             assert out.status == INFEASIBLE
     _line(

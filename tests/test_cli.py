@@ -255,6 +255,31 @@ def test_solve_c3(capsys, tmp_path):
     assert res["witness"]["page_count"] == 3
 
 
+def test_solve_prints_the_overfull_vertex_set(capsys, tmp_path):
+    # K5-e: 9 edges on 5 vertices need 5 matchings of at most 2 edges, one
+    # above the max degree; the vertex set is added next to odd_cycle
+    gp = tmp_path / "k5e.json"
+    save_graph(delete_edge(complete(5), (0, 1)), gp)
+    code, out, _ = run(capsys, "solve", str(gp))
+    res = json.loads(out)
+    assert code == 0 and res["value"] == 5 and res["exhaustive"]
+    assert list(res) == ["value", "exhaustive", "lower_bound", "stats", "witness"]
+    assert res["lower_bound"] == {
+        "value": 5, "reason": "chromatic-index", "max_degree": 4, "regular_degree": None,
+        "odd_cycle": None, "overfull": [0, 1, 2, 3, 4], "chromatic_index": 5,
+    }
+    assert list(res["stats"]) == [
+        "orders_tested", "nodes", "elapsed_s", "per_level", "timed_out", "kernel_calls",
+        "clique_refuted", "clique_steps", "parity_refuted", "repaired",
+    ]
+    # the key is null under every other reason, and the exit codes stay
+    save_graph(cycle(5), gp)
+    code, out, _ = run(capsys, "solve", str(gp))
+    assert code == 0 and json.loads(out)["lower_bound"]["overfull"] is None
+    code, out, _ = run(capsys, "solve", str(gp), "--max-pages", "2")
+    assert code == 1 and json.loads(out)["lower_bound"]["overfull"] is None
+
+
 def test_solve_k33_with_witness_file(capsys, tmp_path):
     from matchbook.graphs import complete_bipartite
 

@@ -90,7 +90,7 @@ def test_book_embedding_turns_spine_and_pages_into_tuples():
 
 def test_bound_certificate_defaults():
     cert = BoundCertificate(3, "max-degree", 3)
-    assert (cert.regular_degree, cert.odd_cycle, cert.chromatic_index, cert.edge_coloring) == (None,) * 4
+    assert (cert.regular_degree, cert.odd_cycle, cert.chromatic_index, cert.overfull) == (None,) * 4
 
 
 def test_solve_options_defaults_and_keywords():

@@ -51,9 +51,19 @@ from oracles import (
     brute_conflict_masks,
     brute_feasible,
     check_odd_cycle,
+    overfull_count,
     spine_orders,
 )
 from strategies import graphs
+
+# K9-e with a pendant path 0-9-10: max degree 8, and neither G nor G - v is
+# overfull, but peeling the path leaves K9-e, whose 35 edges exceed 8 * 4
+K9E_PATH = Graph(11, (*delete_edge(complete(9), (0, 1)).edges, (0, 9), (9, 10)), name="K9-e+path")
+# Petersen's outer 5-cycle, pentagram and spokes, less vertex 0: class 2 with
+# no overfull subgraph, so counting proves only its max degree
+_PETERSEN = [(i, (i + 1) % 5) for i in range(5)]
+_PETERSEN += [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+PETERSEN_V = Graph(9, tuple((a - 1, b - 1) for a, b in _PETERSEN if 0 not in (a, b)), name="Petersen-v")
 
 
 def check_certificate(g, cert: BoundCertificate) -> None:
@@ -64,14 +74,9 @@ def check_certificate(g, cert: BoundCertificate) -> None:
         assert cert.value == cert.max_degree + 1
     elif cert.reason == "chromatic-index":
         assert cert.value == cert.chromatic_index > cert.max_degree
-        coloring = cert.edge_coloring
-        assert len(coloring) == g.m
-        assert len(set(coloring)) == cert.chromatic_index
-        for i in range(g.m):
-            for j in range(i + 1, g.m):
-                if set(g.edges[i]) & set(g.edges[j]):
-                    assert coloring[i] != coloring[j]
-        # one fewer colour was exhaustively refuted
+        # the overfull subgraph's edges, recounted from g, need value pages
+        assert overfull_count(g, cert.overfull) == cert.value
+        # and one fewer colour is refuted by an exhaustive search
         out = color_graph(endpoint_conflict_masks(g), cert.value - 1)
         assert out.status == INFEASIBLE
     else:
@@ -96,6 +101,7 @@ def test_lower_bound_examples():
 
     cert = lower_bound(delete_edge(complete(5), (0, 1)))
     assert cert.value == 5 and cert.reason == "chromatic-index"
+    assert cert.overfull == (0, 1, 2, 3, 4)
     check_certificate(delete_edge(complete(5), (0, 1)), cert)
 
 
@@ -422,20 +428,46 @@ def test_color_graph_stops_at_deadline():
     assert color_graph(masks, 9, DEFAULT_ORDER_NODES, time.monotonic() - 1).status == FOUND
 
 
-def test_timeout_bounds_the_lower_bound():
-    # K9-e with a pendant path 0-9-10: n = 11, m = 37, max degree 8 and
-    # chromatic index 9, but neither G nor G - v is overfull, so the
-    # chromatic-index search has to refute 8 colours and runs out of time
-    k9e = delete_edge(complete(9), (0, 1))
-    g = Graph(11, (*k9e.edges, (0, 9), (9, 10)))
-    assert solver.overfull_bound(g) == max_degree(g) == 8
+def test_the_counted_bound_leaves_the_timeout_to_the_scan():
+    # lower_bound runs no search, so the bound of K9-e+path costs no part
+    # of the timeout, and the scan answers at it
     start = time.monotonic()
-    res = exact_mbt(g, SolveOptions(timeout_s=1))
-    assert time.monotonic() - start < 5
-    assert res.stats.timed_out and not res.exhaustive
-    # out of time, the chromatic-index search leaves the max-degree bound
-    assert res.bound.reason == "max-degree" and res.bound.value == 8
-    assert res.value == res.witness.page_count and validate(res.witness).valid
+    cert = lower_bound(K9E_PATH)
+    assert time.monotonic() - start < 0.1
+    assert (cert.value, cert.reason, cert.overfull) == (9, "chromatic-index", tuple(range(9)))
+    res = exact_mbt(K9E_PATH, SolveOptions(timeout_s=1))
+    assert res.value == 9 and res.exhaustive and not res.stats.timed_out
+    assert res.bound == cert and validate(res.witness).valid
+
+
+def test_k9_with_a_pendant_edge_is_solved_at_its_max_degree():
+    # no subgraph is overfull beyond the max degree 9 (K9 itself counts
+    # 36 / 4 = 9), and the scan finds 9 pages at once
+    g = Graph(10, (*complete(9).edges, (0, 9)))
+    start = time.monotonic()
+    res = exact_mbt(g)
+    assert time.monotonic() - start < 1
+    assert (res.bound.value, res.bound.reason, res.value, res.exhaustive) == (9, "max-degree", 9, True)
+    assert validate(res.witness).valid
+
+
+def test_lower_bound_runs_no_colouring_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lower_bound searched for a colouring")
+
+    monkeypatch.setattr(solver, "color_graph", refuse)
+    for g in (K9E_PATH, PETERSEN_V, complete(9), delete_edge(complete(7), (0, 1)), kpcq(3, 3)):
+        lower_bound(g)
+
+
+def test_petersen_less_a_vertex_is_the_one_bound_that_counting_lowers():
+    # a chromatic-index search proved 4 here; the count proves 3, so the scan
+    # now refutes level 3 itself, and the answer and witness stay the same
+    res = exact_mbt(PETERSEN_V)
+    assert (res.bound.value, res.bound.reason, res.bound.overfull) == (3, "max-degree", None)
+    assert (res.value, res.exhaustive, res.stats.per_level) == (4, True, {3: 20160, 4: 6})
+    assert res.witness.spine == (0, 1, 2, 3, 4, 5, 8, 7, 6)
+    assert res.witness.pages == (2, 0, 0, 1, 2, 1, 1, 2, 3, 2, 3, 0)
 
 
 def test_overfull_k9e_is_solved_by_counting():
@@ -448,27 +480,29 @@ def test_overfull_k9e_is_solved_by_counting():
     res = exact_mbt(g)
     assert time.monotonic() - start < 1
     assert (cert.value, cert.reason, cert.chromatic_index) == (9, "chromatic-index", 9)
-    coloring = cert.edge_coloring
-    assert len(set(coloring)) == 9
-    assert all(
-        coloring[i] != coloring[j]
-        for i in range(g.m)
-        for j in range(i + 1, g.m)
-        if set(g.edges[i]) & set(g.edges[j])
-    )
+    assert cert.overfull == tuple(range(9)) and overfull_count(g, cert.overfull) == 9
     assert res.value == 9 and res.exhaustive and res.stats.per_level == {9: 1}
     assert validate(res.witness).valid
+
+
+# chromatic indices of the examples too large for brute_chromatic_index
+KNOWN_CHI = {"K9-e+path": 9, "Petersen-v": 4}
 
 
 @given(graphs(min_n=1, max_n=7))
 @example(Graph(4, ((0, 1), (0, 2), (1, 2))))  # only G - v is overfull
 @example(Graph(6, cycle(5).edges))
+@example(K9E_PATH)  # peeling finds K9-e, two vertices below G
+@example(PETERSEN_V)  # the count 3 is below the chromatic index 4
 @settings(max_examples=60)
 def test_overfull_start_never_passes_the_chromatic_index(g):
-    if g.m > 8:
+    count, hood = solver.overfull_bound(g)
+    assert count == (overfull_count(g, hood) if hood else 0)
+    assert (count > 0) == (g.m > 0)
+    if g.m > 8 and g.name not in KNOWN_CHI:
         return
-    chi = brute_chromatic_index(g.edges)
-    assert max_degree(g) <= solver.overfull_bound(g) <= chi
+    chi = brute_chromatic_index(g.edges) if g.m <= 8 else KNOWN_CHI[g.name]
+    assert count <= chi
     assert edge_chromatic_exact(g).value == chi
 
 
