@@ -68,7 +68,6 @@ def _solve_options(args) -> SolveOptions:
     return SolveOptions(
         max_pages=args.max_pages,
         timeout_s=args.timeout,
-        jobs=args.jobs,
         symmetry=not args.no_symmetry,
     )
 
@@ -221,7 +220,6 @@ def _add_io_flags(sp, output: bool = True) -> None:
 def _add_solver_flags(sp) -> None:
     sp.add_argument("--max-pages", type=int, default=None)
     sp.add_argument("--timeout", type=float, default=600.0, help="global budget in seconds")
-    sp.add_argument("--jobs", type=int, default=1, help="accepted and ignored (serial solve)")
     sp.add_argument("--no-symmetry", action="store_true", help="enumerate all spine orders")
 
 

@@ -258,7 +258,8 @@ def _solve(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
 
     res = solver.exact_mbt(g, opts)
     if res.witness is None:
-        raise ConstructionUnresolved(f"exact search found no embedding in {opts.max_pages} pages or fewer")
+        failed = "timed out before finding an" if res.stats.timed_out else "found no"
+        raise ConstructionUnresolved(f"exact search {failed} embedding in {opts.max_pages} pages or fewer")
     return res.witness
 
 
@@ -285,18 +286,27 @@ def construct(g: Graph, scheme: str, opts: SolveOptions | None = None) -> Constr
     """Embed g by the named scheme, or by the first that applies for "auto".
 
     The result is checked to embed g itself and to pass ``validate``;
-    either failure is a ConstructionError. Under "auto" a scheme that
+    either failure is a ConstructionError. An embedding above the page cap
+    ``opts.max_pages`` leaves g unresolved. Under "auto" a scheme that
     cannot resolve g falls through to the exact solver, which runs once:
     when the solver itself finds nothing under the page cap, the
-    ConstructionUnresolved propagates. A disconnected g is a ValueError
-    before any scheme runs.
+    ConstructionUnresolved propagates. A disconnected g, or options out of
+    range, are a ValueError before any scheme runs.
     """
     if not is_connected(g):
         raise ValueError(f"{g.name} is not connected; an embedding requires a connected graph")
+    cap = opts.checked().max_pages if opts is not None else None
+
+    def build(scheme: str) -> BookEmbedding:
+        emb = SCHEMES[scheme][1](g, opts)
+        if cap is not None and emb.page_count > cap:
+            raise ConstructionUnresolved(f"scheme {scheme} needs {emb.page_count} pages, over the cap of {cap}")
+        return emb
+
     if scheme == "auto":
         scheme = next(name for name, (applies, _) in SCHEMES.items() if applies(g.family))
         try:
-            emb = SCHEMES[scheme][1](g, opts)
+            emb = build(scheme)
         except ConstructionUnresolved:
             if scheme == SCHEME_SOLVER:
                 raise
@@ -306,7 +316,7 @@ def construct(g: Graph, scheme: str, opts: SolveOptions | None = None) -> Constr
     elif not SCHEMES[scheme][0](g.family):
         raise ValueError(f"scheme {scheme} does not apply to {g.name}")
     else:
-        emb = SCHEMES[scheme][1](g, opts)
+        emb = build(scheme)
     if emb.graph != g:
         raise ConstructionError(f"scheme {scheme} embedded a different graph than {g.name}")
     try:

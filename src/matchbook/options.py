@@ -11,13 +11,25 @@ from typing import NamedTuple
 
 
 class SolveOptions(NamedTuple):
-    """``timeout_s`` bounds the whole solve (None: no limit). ``jobs`` is
-    accepted and ignored: each level is one prefix search in this process;
-    it stays because the benchmark harness still passes it. A solve's node
-    budget, per full spine, is the module constant ``DEFAULT_ORDER_NODES``
-    of ``solver``; its lower bound is a count and needs none."""
+    """``max_pages`` caps the answer, on a timeout too (None: no cap), and
+    ``timeout_s`` bounds the whole solve (None: no limit). ``jobs`` is
+    ignored, and the CLI has no flag for it: each level is one prefix
+    search in this process; the field stays only because the benchmark
+    harness still passes it. A solve's node budget, per full spine, is the
+    module constant ``DEFAULT_ORDER_NODES`` of ``solver``; its lower bound
+    is a count and needs none."""
 
     max_pages: int | None = None
     timeout_s: float | None = 600.0
     jobs: int = 1
     symmetry: bool = True
+
+    def checked(self) -> SolveOptions:
+        """These options, once ``timeout_s`` and ``max_pages`` are known to
+        be None or non-negative (``max_pages`` an int); else a ValueError."""
+        if self.timeout_s is not None and not self.timeout_s >= 0:
+            raise ValueError(f"timeout must be a non-negative number of seconds, not {self.timeout_s}")
+        cap = self.max_pages
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
+            raise ValueError(f"max pages must be a non-negative integer, not {cap!r}")
+        return self

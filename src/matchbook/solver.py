@@ -317,7 +317,7 @@ def lower_bound(g: Graph) -> BoundCertificate:
 
 
 class SolveStats:
-    """Counters of one solve, filled in while it runs.
+    """Counters of one solve, filled in while it runs; each starts at zero.
 
     ``kernel_calls`` counts the full spines the scan coloured, ``nodes`` the
     kernel's search nodes over them, ``clique_refuted`` the prefixes that a
@@ -330,27 +330,12 @@ class SolveStats:
         "kernel_calls", "clique_refuted", "clique_steps", "parity_refuted",
     )
 
-    def __init__(
-        self,
-        orders_tested: int = 0,
-        nodes: int = 0,
-        elapsed_s: float = 0.0,
-        per_level: dict[int, int] | None = None,
-        timed_out: bool = False,
-        kernel_calls: int = 0,
-        clique_refuted: int = 0,
-        clique_steps: int = 0,
-        parity_refuted: int = 0,
-    ) -> None:
-        self.orders_tested = orders_tested
-        self.nodes = nodes
-        self.elapsed_s = elapsed_s
-        self.per_level = {} if per_level is None else per_level
-        self.timed_out = timed_out
-        self.kernel_calls = kernel_calls
-        self.clique_refuted = clique_refuted
-        self.clique_steps = clique_steps
-        self.parity_refuted = parity_refuted
+    def __init__(self) -> None:
+        self.orders_tested = self.nodes = self.kernel_calls = 0
+        self.clique_refuted = self.clique_steps = self.parity_refuted = 0
+        self.elapsed_s = 0.0
+        self.per_level: dict[int, int] = {}
+        self.timed_out = False
 
     def __repr__(self) -> str:
         return "SolveStats(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
@@ -388,7 +373,9 @@ class _PrefixSearch:
     and placing v adds, for each edge it closes, the crossings
     ``layout.straddling`` decides that the masks lack. A level is one
     search from the root, in this process, so its result and counters do
-    not depend on ``SolveOptions.jobs``.
+    not depend on ``SolveOptions.jobs``. It counts its search effort
+    straight into the solve's ``stats``, and the orders it settled in
+    ``settled``.
 
     Under symmetry, twins are placed in increasing order. Twins are
     u ≠ v with N(u)∖{v} = N(v)∖{u}, so the swap (u v) is an automorphism
@@ -447,7 +434,7 @@ class _PrefixSearch:
     ``orders_tested`` do not change; only search is saved.
     """
 
-    def __init__(self, g: Graph, k: int, symmetry: bool, deadline: float | None):
+    def __init__(self, g: Graph, k: int, symmetry: bool, deadline: float | None, stats: SolveStats):
         self.n, self.edges = g.n, g.edges
         self.base = endpoint_conflict_masks(g)
         self.inc = incidence(self.n, self.edges)
@@ -467,12 +454,8 @@ class _PrefixSearch:
                     self.twin[v] = last.get(hood, self.twin[v])
                     last[hood] = v
         self.deadline = deadline
+        self.stats = stats
         self.settled = 0  # orders refuted or tested so far
-        self.nodes = 0
-        self.kernel_calls = 0
-        self.clique_refuted = 0
-        self.clique_steps = 0
-        self.parity_refuted = 0
         self.unknown = False
 
     def root(self):
@@ -519,15 +502,6 @@ class _PrefixSearch:
             return int(v > second), 0
         return (state[4] >> second + 1).bit_count() - (v > second), rest - 1
 
-    def kernel(self, masks: list[int]) -> ColoringOutcome:
-        deadline = self.deadline
-        out = color_graph(masks, self.k, DEFAULT_ORDER_NODES, deadline)
-        self.kernel_calls += 1
-        self.nodes += out.nodes
-        if out.status == UNKNOWN and deadline is not None and time.monotonic() > deadline:
-            raise _Timeout
-        return out
-
     def clique(self, before: list[int], masks: list[int], v: int, grown: int) -> int:
         """The mask of k+1 edges that all conflict under ``masks`` and hold a
         conflict (f, g) that placing v added to ``before``, or 0 if none do.
@@ -571,10 +545,11 @@ class _PrefixSearch:
                     free = (free ^ bit) & ~masks[bit.bit_length() - 1]
             if classes < need:
                 return 0
+        stats, deadline = self.stats, self.deadline
         stack, chosen, want = [cand], 0, need
         while want:
-            self.clique_steps += 1
-            if not self.clique_steps & 1023 and self.deadline is not None and time.monotonic() > self.deadline:
+            stats.clique_steps += 1
+            if not stats.clique_steps & 1023 and deadline is not None and time.monotonic() > deadline:
                 raise _Timeout
             cand = stack[-1]
             if cand.bit_count() < want:
@@ -600,56 +575,56 @@ class _PrefixSearch:
         The search keeps its own stack of [state, next vertex to try], so
         its depth (up to the vertex count) is not bounded by Python's
         recursion limit, and tries only the free vertices from that one on.
-        A child is refuted by parity or ``clique``, or descended, and only a
-        full spine that is not refuted gets a kernel call.
+        Each child is settled where it is reached: skipped as a twin,
+        refuted by parity or ``clique``, coloured by the kernel when its
+        spine is full, or else pushed. The root is never a full spine, as
+        ``exact_mbt`` scans no level of a graph with fewer than 3 vertices.
         """
-        n, twin, near = self.n, self.twin, self.near
-        stack: list[list] = []
-        state, refuted = self.root(), 0
-        while True:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise _Timeout
-            spine = state[0]
-            if refuted:
-                self.clique_refuted += 1
-                self.settled += ways[0] * factorial(ways[1])
-            elif len(spine) == n:
-                self.settled += 1
-                out = self.kernel(state[2])
-                if out.status == FOUND:
-                    return spine, out.colors
-                if out.status == UNKNOWN:
-                    self.unknown = True
-            else:
-                stack.append([state, 0])
-            while stack:
-                frame = stack[-1]
-                parent, v = frame
-                pos, even = parent[1], parent[5][0]
-                rest = parent[4] >> v << v
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    v = low.bit_length() - 1
-                    ways = self.leaves(parent, v)
-                    if not ways[0]:
-                        continue
-                    t = twin[v]
-                    if t < 0 or pos[t] >= 0:
-                        if not near[v] & even:
-                            break
-                        self.parity_refuted += 1
-                    # a smaller twin is free, or v closes an edge over an odd run
-                    self.settled += ways[0] * factorial(ways[1])
-                else:
-                    stack.pop()
+        n, k, twin, near, stats, deadline = self.n, self.k, self.twin, self.near, self.stats, self.deadline
+        stack = [[self.root(), 0]]
+        while stack:
+            frame = stack[-1]
+            parent, v = frame
+            pos, even = parent[1], parent[5][0]
+            rest = parent[4] >> v << v
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                ways = self.leaves(parent, v)
+                if not ways[0]:
                     continue
-                frame[1] = v + 1
-                state, grown = self.place(parent, v)
-                refuted = grown and self.clique(parent[2], state[2], v, grown)
-                break
+                t = twin[v]
+                if t < 0 or pos[t] >= 0:
+                    if not near[v] & even:
+                        break
+                    stats.parity_refuted += 1
+                # a smaller twin is free, or v closes an edge over an odd run
+                self.settled += ways[0] * factorial(ways[1])
             else:
-                return None
+                stack.pop()
+                continue
+            frame[1] = v + 1
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Timeout
+            state, grown = self.place(parent, v)
+            if grown and self.clique(parent[2], state[2], v, grown):
+                stats.clique_refuted += 1
+                self.settled += ways[0] * factorial(ways[1])
+            elif len(state[0]) < n:
+                stack.append([state, 0])
+            else:
+                self.settled += 1
+                out = color_graph(state[2], k, DEFAULT_ORDER_NODES, deadline)
+                stats.kernel_calls += 1
+                stats.nodes += out.nodes
+                if out.status == FOUND:
+                    return state[0], out.colors
+                if out.status == UNKNOWN:
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise _Timeout
+                    self.unknown = True
+        return None
 
 
 def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, stats: SolveStats):
@@ -660,34 +635,26 @@ def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, st
     up to that one, or up to the deadline.
     Raises _Timeout once the deadline has passed.
     """
-    search = _PrefixSearch(g, k, opts.symmetry, deadline)
+    search = _PrefixSearch(g, k, opts.symmetry, deadline, stats)
     try:
         return search.run(), search.unknown
     finally:
-        stats.nodes += search.nodes
-        stats.kernel_calls += search.kernel_calls
-        stats.clique_refuted += search.clique_refuted
-        stats.clique_steps += search.clique_steps
-        stats.parity_refuted += search.parity_refuted
         stats.orders_tested += search.settled
         stats.per_level[k] = search.settled
-
-
-def _embedding_from(g: Graph, spine: tuple[int, ...], pages: tuple[int, ...]) -> BookEmbedding:
-    count = max(pages) + 1 if pages else 0
-    return BookEmbedding(g, spine, pages, count)
 
 
 def exact_mbt(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
     """Smallest page count over all spine orders.
 
-    k is searched upward from the certified lower bound, so the first
-    feasible level is the answer; ``exhaustive`` is set when every level
-    below it was either fully refuted or already below the bound.
+    The identity spine's greedy embedding is the answer until a scanned
+    level finds a better one. k is searched upward from the certified lower
+    bound, so the first feasible level is the answer; ``exhaustive`` is set
+    when every level below it was either fully refuted or already below the
+    bound. A timeout ends the scan with the answer so far, not exhaustive.
+    An answer above ``max_pages`` is none: value and witness are None.
     """
-    opts = opts or SolveOptions()
-    if opts.timeout_s is not None and not opts.timeout_s >= 0:
-        raise ValueError(f"timeout must be a non-negative number of seconds, not {opts.timeout_s}")
+    opts = (opts or SolveOptions()).checked()
+    cap = opts.max_pages
     if not is_connected(g):
         raise ValueError("exact_mbt requires a connected graph")
     start = time.monotonic()
@@ -695,28 +662,23 @@ def exact_mbt(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
     cert = lower_bound(g)
     stats = SolveStats()
 
-    id_spine = tuple(range(g.n))
-    greedy = first_fit_pages(g, id_spine)
-    upper = max(greedy, default=-1) + 1
-    fallback = _embedding_from(g, id_spine, greedy)
+    spine = tuple(range(g.n))
+    pages = first_fit_pages(g, spine)
+    upper = max(pages, default=-1) + 1
     assert upper >= cert.value, "valid embedding beats the lower bound"
 
-    clean_below = True
-    hi = upper if opts.max_pages is None else min(upper, opts.max_pages + 1)
-    for k in range(cert.value, hi):
-        try:
-            found, level_unknown = _scan_level(g, k, opts, deadline, stats)
-        except _Timeout:
-            stats.timed_out = True
-            stats.elapsed_s = time.monotonic() - start
-            return SolveResult(upper, fallback, False, cert, stats)
-        if found is not None:
-            spine, pages = found
-            emb = _embedding_from(g, spine, pages)
-            stats.elapsed_s = time.monotonic() - start
-            return SolveResult(emb.page_count, emb, clean_below, cert, stats)
-        clean_below = clean_below and not level_unknown
+    exhaustive = True
+    try:
+        for k in range(cert.value, upper if cap is None else min(upper, cap + 1)):
+            found, unknown = _scan_level(g, k, opts, deadline, stats)
+            if found is not None:
+                spine, pages = found
+                break
+            exhaustive = exhaustive and not unknown
+    except _Timeout:
+        stats.timed_out, exhaustive = True, False
     stats.elapsed_s = time.monotonic() - start
-    if opts.max_pages is not None and upper > opts.max_pages:
+    value = max(pages, default=-1) + 1
+    if cap is not None and value > cap:
         return SolveResult(None, None, False, cert, stats)
-    return SolveResult(upper, fallback, clean_below, cert, stats)
+    return SolveResult(value, BookEmbedding(g, spine, pages, value), exhaustive, cert, stats)

@@ -23,6 +23,8 @@ from matchbook.graphs import FAMILIES, Graph, complete, complete_bipartite, cycl
 from matchbook.layout import BookEmbedding, validate
 from graph_files import save_graph
 
+CORPUS_FILE = Path(__file__).parent.parent / "perfbench" / "corpus.json"
+
 
 def run(capsys, *args):
     code = main(list(args))
@@ -318,19 +320,53 @@ def test_solve_rejects_nan_or_negative_timeout(capsys, tmp_path, timeout):
     assert "timeout" in err
 
 
-def test_solve_jobs_flag_is_accepted_and_inert(capsys, tmp_path):
-    from matchbook.graphs import complete_bipartite
+@pytest.mark.parametrize(
+    "cmd", [["solve"], ["embed"], ["embed", "--method", "construction:complete-congruence"]], ids=" ".join
+)
+def test_negative_max_pages_is_a_usage_error(capsys, tmp_path, cmd):
+    # checked before any scheme runs, so a construction rejects it too
+    gp = tmp_path / "k4.json"
+    save_graph(complete(4), gp)
+    code, out, err = run(capsys, *cmd, str(gp), "--max-pages", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "max pages" in err
 
-    gp = tmp_path / "k33.json"
-    save_graph(complete_bipartite(3, 3), gp)
-    results = []
-    for jobs in ("1", "4"):
-        code, out, _ = run(capsys, "solve", str(gp), "--jobs", jobs)
-        doc = json.loads(out)
-        del doc["stats"]["elapsed_s"]
-        results.append((code, doc))
-    assert results[0] == results[1]
-    assert results[0][0] == 0
+
+def test_a_timed_out_solve_keeps_the_page_cap(capsys, tmp_path):
+    # R7-267 needs 5 pages and its greedy embedding 8; a solve that times
+    # out under a cap of 5 has no embedding within the cap to write
+    entry = next(e for e in json.loads(CORPUS_FILE.read_text())["solve-refute"] if e["name"] == "R7-267")
+    gp, ep = tmp_path / "g.json", tmp_path / "e.json"
+    save_graph(Graph(entry["n"], tuple(map(tuple, entry["edges"])), name="R7-267"), gp)
+    cap = ["--max-pages", "5", "--timeout", "0", "-o", str(ep)]
+    code, out, err = run(capsys, "embed", str(gp), "--method", "solver", *cap)
+    assert code == 1 and json.loads(out) == {
+        "unresolved": True, "reason": "exact search timed out before finding an embedding in 5 pages or fewer"
+    }
+    assert err.startswith("unresolved: ") and not ep.exists()
+    code, out, _ = run(capsys, "solve", str(gp), *cap)
+    doc = json.loads(out)
+    assert code == 1 and (doc["value"], doc["witness"], doc["exhaustive"]) == (None, None, False)
+    assert doc["stats"]["timed_out"] and not ep.exists()
+
+
+def test_a_construction_above_the_page_cap_is_unresolved(capsys, tmp_path):
+    # the congruence scheme embeds K5 in 5 pages; under a cap of 4 the named
+    # scheme is unresolved, and auto falls through to the solver, which
+    # finds no embedding within the cap either
+    gp, ep = tmp_path / "k5.json", tmp_path / "e.json"
+    assert run(capsys, "gen", "--family", "complete", "--n", "5", "-o", str(gp))[0] == 0
+    cap = ["--max-pages", "4", "-o", str(ep)]
+    code, out, _ = run(capsys, "embed", str(gp), "--method", "construction:complete-congruence", *cap)
+    assert code == 1 and not ep.exists()
+    assert json.loads(out) == {
+        "unresolved": True, "reason": "scheme complete-congruence needs 5 pages, over the cap of 4"
+    }
+    code, out, _ = run(capsys, "embed", str(gp), *cap)
+    assert code == 1 and not ep.exists()
+    assert json.loads(out)["reason"] == "exact search found no embedding in 4 pages or fewer"
+    code, out, _ = run(capsys, "embed", str(gp), "--max-pages", "5", "-o", str(ep))
+    assert code == 0 and json.loads(out)["scheme"] == "complete-congruence"
 
 
 def test_render_roundtrip(capsys, tmp_path):
@@ -460,7 +496,13 @@ def test_solver_under_a_page_cap_below_the_answer_is_unresolved(capsys, tmp_path
 
 
 @pytest.mark.parametrize(
-    "argv", [["embed", "g.json", "--fallback-solver"], ["verify", "g.json", "e.json", "-o", "r.json"]]
+    "argv",
+    [
+        ["embed", "g.json", "--fallback-solver"],
+        ["verify", "g.json", "e.json", "-o", "r.json"],
+        ["solve", "g.json", "--jobs", "2"],
+        ["embed", "g.json", "--jobs", "2"],
+    ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -5,6 +5,7 @@ import pytest
 from matchbook import constructions as cons
 from matchbook.constructions import (
     ConstructionError,
+    ConstructionUnresolved,
     DispersableWitness,
     auto_embedding,
     complete_embedding,
@@ -28,6 +29,7 @@ from matchbook.graphs import (
     path,
 )
 from matchbook.layout import BookEmbedding, validate
+from matchbook.options import SolveOptions
 from matchbook.solver import exact_mbt
 
 
@@ -225,6 +227,18 @@ def test_construct_rejects_unknown_or_inapplicable_scheme():
     with pytest.raises(ValueError, match="even-cycle does not apply"):
         construct(cycle(5), "even-cycle")
     assert construct(cycle(6), "even-cycle").embedding.page_count == 2
+
+
+def test_construct_keeps_the_page_cap():
+    # K6's congruence embedding has 6 pages: within a cap of 6 it stands,
+    # above a cap of 5 the named scheme is unresolved, and options out of
+    # range are rejected before any scheme runs
+    assert construct(complete(6), "complete-congruence", SolveOptions(max_pages=6)).embedding.page_count == 6
+    with pytest.raises(ConstructionUnresolved, match="needs 6 pages, over the cap of 5"):
+        construct(complete(6), "complete-congruence", SolveOptions(max_pages=5))
+    for opts in (SolveOptions(max_pages=-1), SolveOptions(max_pages=2.5), SolveOptions(timeout_s=float("nan"))):
+        with pytest.raises(ValueError):
+            construct(complete(6), "complete-congruence", opts)
 
 
 def test_witness_for():

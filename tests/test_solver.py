@@ -277,6 +277,32 @@ def test_timeout_returns_upper_bound():
         assert validate(res.witness).valid
 
 
+@pytest.mark.parametrize("cap", [4.5, -3, "5", True])
+def test_max_pages_must_be_none_or_a_non_negative_int(cap):
+    with pytest.raises(ValueError, match="max pages"):
+        exact_mbt(complete(4), SolveOptions(max_pages=cap))
+
+
+@st.composite
+def connected_graphs(draw):
+    # a random graph joined up by the path 0-1-...-(n-1)
+    g = draw(graphs(min_n=1, max_n=7))
+    return Graph(g.n, tuple(sorted({*g.edges, *((i, i + 1) for i in range(g.n - 1))})), name="H")
+
+
+@given(connected_graphs(), st.integers(-1, 2), st.booleans(), st.sampled_from([None, 0]))
+@settings(max_examples=150, deadline=None)
+def test_no_answer_exceeds_max_pages(g, offset, symmetry, timeout):
+    # with or without a timeout, an answer above the cap is no answer
+    cap = max(0, max_degree(g) + offset)
+    res = exact_mbt(g, SolveOptions(max_pages=cap, timeout_s=timeout, symmetry=symmetry))
+    if res.value is None:
+        assert res.witness is None and not res.exhaustive
+    else:
+        assert res.value <= cap and res.witness.page_count == res.value
+        assert validate(res.witness).valid
+
+
 def test_witness_page_count_matches_value():
     for g in [complete(5), cycle(5), complete_bipartite(3, 3)]:
         res = exact_mbt(g)
@@ -558,6 +584,17 @@ def test_exact_mbt_golden_counters(name, jobs):
 
 
 @pytest.mark.parametrize(
+    "entry", json.loads(CORPUS_FILE.read_text())["solve-refute"], ids=lambda e: e["name"]
+)
+def test_a_timeout_keeps_the_page_cap(entry):
+    # these graphs' greedy embeddings need 7 to 10 pages; a solve that times
+    # out under a cap at the answer has no embedding within it to return
+    res = exact_mbt(_corpus_graph(entry["name"]), SolveOptions(max_pages=entry["mbt"], timeout_s=0))
+    assert (res.value, res.witness, res.exhaustive) == (None, None, False)
+    assert res.stats.timed_out
+
+
+@pytest.mark.parametrize(
     "g", [*(_corpus_graph(e["name"]) for e in CORPUS), kpcq(3, 51)], ids=lambda g: g.name
 )
 def test_witness_pages_come_from_the_kernel(g):
@@ -587,7 +624,7 @@ def replay_state(search, spine):
 
 
 def replay(g, spine, symmetry=False):
-    return replay_state(_PrefixSearch(g, 1, symmetry, None), spine)[2]
+    return replay_state(_PrefixSearch(g, 1, symmetry, None, SolveStats()), spine)[2]
 
 
 @given(graphs(min_n=1, max_n=8), st.randoms(use_true_random=False), st.integers(0, 8))
@@ -623,7 +660,7 @@ def test_clique_refutations_hold_in_every_completion(g, rnd, offset):
     head = max(0, g.n - 4)
     completions = [(*spine[:head], *tail) for tail in permutations(spine[head:])]
     full = [brute_conflict_masks(order, g.edges) for order in completions]
-    search = _PrefixSearch(g, k, False, None)
+    search = _PrefixSearch(g, k, False, None, SolveStats())
     parent = replay_state(search, spine[:head])
     for at in range(head, g.n):
         v = spine[at]
@@ -642,7 +679,7 @@ def test_clique_refutations_hold_in_every_completion(g, rnd, offset):
 def check_clique_is_exact(g, k, spine):
     # at each placement, ``clique`` finds k+1 pairwise-conflicting edges
     # through a new conflict exactly when the brute-force oracle does
-    search = _PrefixSearch(g, k, False, None)
+    search = _PrefixSearch(g, k, False, None, SolveStats())
     parent = search.root()
     for v in spine:
         child, grown = search.place(parent, v)
@@ -674,7 +711,7 @@ def test_clique_finds_what_a_greedy_search_missed():
     g = Graph(7, edges)
     prefix = (5, 6, 4, 2, 3, 1)
     check_clique_is_exact(g, 5, prefix)
-    search = _PrefixSearch(g, 5, False, None)
+    search = _PrefixSearch(g, 5, False, None, SolveStats())
     parent = replay_state(search, prefix[:-1])
     child, grown = search.place(parent, prefix[-1])
     assert search.clique(parent[2], child[2], prefix[-1], grown).bit_count() == 6
@@ -696,7 +733,7 @@ def test_parity_refutations_hold_in_every_completion(g, rnd, offset, symmetry):
     if symmetry:
         spine.remove(0)
         spine.insert(0, 0)
-    search = _PrefixSearch(g, k, symmetry, None)
+    search = _PrefixSearch(g, k, symmetry, None, SolveStats())
     parent = search.root()
     for at in range(len(parent[0]), g.n):
         v = spine[at]
@@ -713,7 +750,7 @@ def test_parity_refutes_a_prefix_that_holds_no_clique():
     edges = ((0, 1), (0, 4), (0, 7), (1, 2), (1, 6), (2, 5), (2, 6), (3, 7), (5, 6))
     g = Graph(8, edges)
     prefix = (7, 0, 1, 2, 3)
-    search = _PrefixSearch(g, 3, False, None)
+    search = _PrefixSearch(g, 3, False, None, SolveStats())
     parent = replay_state(search, prefix[:-1])
     assert search.near[3] & parent[5][0]
     child, grown = search.place(parent, 3)
@@ -736,14 +773,14 @@ def test_clique_search_depth_is_not_bounded_by_the_recursion_limit():
     size = need + 50
     everything = (1 << size) - 1
     masks = [everything ^ 1 << i for i in range(size)]
-    search = _PrefixSearch(path(2), need + 1, False, None)
+    search = _PrefixSearch(path(2), need + 1, False, None, SolveStats())
     assert search.extend(masks, 0, everything, need) == (1 << need) - 1
     assert search.extend(masks, 0, everything, size + 1) == 0
     # a passed deadline stops the search at its 1,024th step
-    late = _PrefixSearch(path(2), need + 1, False, time.monotonic() - 1)
+    late = _PrefixSearch(path(2), need + 1, False, time.monotonic() - 1, SolveStats())
     with pytest.raises(_Timeout):
         late.extend(masks, 0, everything, need)
-    assert late.clique_steps == 1024
+    assert late.stats.clique_steps == 1024
 
 
 def flat_scan(g, k, symmetry):
