@@ -368,14 +368,19 @@ class _PrefixSearch:
     a proof that they need more than k pages refutes every order below the
     prefix. A full spine decides every pair, as ``conflict_masks``.
 
-    A state is (spine prefix, positions, masks, parity masks ``odd``, free
-    vertices, ``ends``); masks start from the shared-endpoint conflicts,
-    and placing v adds, for each edge it closes, the crossings
-    ``layout.straddling`` decides that the masks lack. A level is one
-    search from the root, in this process, so its result and counters do
-    not depend on ``SolveOptions.jobs``. It counts its search effort
-    straight into the solve's ``stats``, and the orders it settled in
-    ``settled``.
+    The prefix state lives in arrays indexed by prefix length d: one
+    ``spine`` and ``pos``, and per d the parity masks ``odd[d]``, free
+    vertices ``free[d]``, ``ends[d]`` and conflict masks ``masks[d]``, which
+    start from the shared-endpoint conflicts; placing v adds, for each edge
+    it closes, the crossings ``layout.straddling`` decides that the masks
+    lack. The stack holds one root-to-leaf path, so placing v after
+    spine[:d] writes only ``spine[d]``, ``pos[v]`` and the entries at d+1,
+    which a later sibling overwrites; ``pos`` is read only at the placed end
+    of an edge with one end placed, so never stale. No stored masks list
+    changes: ``masks[d+1]`` is the parent's when the placement decided no
+    new conflict, else a copy. A level is one search, in this process, so
+    its result and counters do not depend on ``SolveOptions.jobs``. It
+    counts its effort into the solve's ``stats``, its orders in ``settled``.
 
     Under symmetry, twins are placed in increasing order. Twins are
     u ≠ v with N(u)∖{v} = N(v)∖{u}, so the swap (u v) is an automorphism
@@ -411,32 +416,31 @@ class _PrefixSearch:
     of its ``DEFAULT_ORDER_NODES`` nodes (UNKNOWN) makes the level not
     exhaustive.
 
-    Before ``place``, page parity may refute the child instead, with no
-    state built. Call a vertex short when it has fewer than k edges.
-    Placing v at position ``here`` refutes the child when it closes an edge
-    (u, v) with ``here − pos[u]`` even and no short vertex at positions
-    ``pos[u]+1 … here−1``. Proof: in any completion, (u, v) lies on some
+    Before ``place``, page parity may refute the child instead, with
+    nothing written. Call a vertex short when it has fewer than k edges.
+    Placing v at position d refutes the child when it closes an edge (u, v)
+    with ``d − pos[u]`` even and no short vertex at positions
+    ``pos[u]+1 … d−1``. Proof: in any completion, (u, v) lies on some
     page P, a non-crossing matching. The vertices strictly between u and v
-    are placed already, there are ``here − pos[u] − 1`` of them (odd), and
+    are placed already, there are ``d − pos[u] − 1`` of them (odd), and
     an edge of P at one of them ends strictly between u and v too, since
     one ending outside would cross (u, v) and one ending at u or v would
     share its end. So P covers an even number of them and leaves one
     uncovered. But each has k or more edges and a page holds at most one
     edge at a vertex, so it is covered on every page, P included (a vertex
     with more than k edges fits no k pages at all). Hence no completion
-    fits k pages. ``ends[0]`` and ``ends[1]``
-    hold the placed vertices at an even and an odd distance before the next
-    position, counting only those at or after the last short vertex: a
-    short vertex starts them afresh, as it may lie at an end of (u, v) but
-    not strictly between. The child is refuted when ``near[v] & ends[0]``
-    is nonzero, and is settled with the same count of canonical orders as
-    a clique-refuted one, so the witness, ``per_level`` and
-    ``orders_tested`` do not change; only search is saved.
+    fits k pages. ``ends[d][0]`` and ``ends[d][1]`` hold the placed vertices
+    at an even and an odd distance before position d, counting only those
+    at or after the last short vertex: a short vertex starts them afresh,
+    as it may lie at an end of (u, v) but not strictly between. The child
+    is refuted when ``near[v] & ends[d][0]`` is nonzero, and is settled
+    with the same count of canonical orders as a clique-refuted one, so the
+    witness, ``per_level`` and ``orders_tested`` do not change; only search
+    is saved.
     """
 
     def __init__(self, g: Graph, k: int, symmetry: bool, deadline: float | None, stats: SolveStats):
         self.n, self.edges = g.n, g.edges
-        self.base = endpoint_conflict_masks(g)
         self.inc = incidence(self.n, self.edges)
         self.k = k
         self.pinned = symmetry and self.n >= 1
@@ -453,69 +457,64 @@ class _PrefixSearch:
                 for hood in (near[v], near[v] | 1 << v):
                     self.twin[v] = last.get(hood, self.twin[v])
                     last[hood] = v
+        self.spine, self.pos, self.odd = [0] * g.n, [0] * g.n, [0] * (g.n + 1)
+        self.free, self.ends = [(1 << g.n) - 1] * (g.n + 1), [(0, 0)] * (g.n + 1)
+        self.masks = [endpoint_conflict_masks(g)] * (g.n + 1)
         self.deadline = deadline
         self.stats = stats
         self.settled = 0  # orders refuted or tested so far
         self.unknown = False
 
-    def root(self):
-        state = ((), [-1] * self.n, self.base, (0,), (1 << self.n) - 1, (0, 0))
-        return self.place(state, 0)[0] if self.pinned else state
-
-    def place(self, state, v: int):
-        """The state extended by vertex v, and the mask of the edges whose
-        conflicts that placement grew (0 when it decided none)."""
-        spine, pos, masks, odd, free, ends = state
-        here = len(spine)
-        pos = pos[:]
-        pos[v] = here
-        grown = 0
-        rest = self.inc[v] & odd[-1]
+    def place(self, d: int, v: int) -> list[tuple[int, int]]:
+        """Places v after spine[:d]; returns (f, its new conflicts), lowest f
+        first, for each edge f at v whose conflicts that placement grew."""
+        pos, odd, masks = self.pos, self.odd, self.masks[d]
+        self.spine[d], pos[v] = v, d
+        grown = []
+        rest = self.inc[v] & odd[d]
         while rest:
             low = rest & -rest
             f = low.bit_length() - 1
             rest ^= low
             a, b = self.edges[f]
-            new = straddling(odd, pos[b if a == v else a], here) & ~masks[f]
+            new = straddling(odd, pos[b if a == v else a], d) & ~masks[f]
             if not new:
                 continue
             if not grown:
                 masks = masks[:]
-            grown |= low | new
+            grown.append((f, new))
             masks[f] |= new
             while new:
                 bit = new & -new
                 masks[bit.bit_length() - 1] |= low
                 new ^= bit
-        ends = (0, 1 << v) if self.short >> v & 1 else (ends[1], ends[0] | 1 << v)
-        return (spine + (v,), pos, masks, odd + (odd[-1] ^ self.inc[v],), free ^ 1 << v, ends), grown
+        self.masks[d + 1] = masks
+        odd[d + 1] = odd[d] ^ self.inc[v]
+        self.free[d + 1] = self.free[d] ^ 1 << v
+        even, far = self.ends[d]
+        self.ends[d + 1] = (0, 1 << v) if self.short >> v & 1 else (far, even | 1 << v)
+        return grown
 
-    def leaves(self, state, v: int) -> tuple[int, int]:
-        """(c, f): c·f! canonical spine orders extend the state's prefix by v."""
-        spine = state[0]
-        rest = self.n - len(spine) - 1
+    def leaves(self, d: int, v: int) -> tuple[int, int]:
+        """(c, f): c·f! canonical spine orders extend spine[:d] by v."""
+        rest = self.n - d - 1
         if not self.mirror:
             return 1, rest
         # the order is canonical when its last vertex exceeds its second
-        second = spine[1] if len(spine) > 1 else v
+        second = self.spine[1] if d > 1 else v
         if rest == 0:
             return int(v > second), 0
-        return (state[4] >> second + 1).bit_count() - (v > second), rest - 1
+        return (self.free[d] >> second + 1).bit_count() - (v > second), rest - 1
 
-    def clique(self, before: list[int], masks: list[int], v: int, grown: int) -> int:
+    def clique(self, masks: list[int], grown: list[tuple[int, int]]) -> int:
         """The mask of k+1 edges that all conflict under ``masks`` and hold a
-        conflict (f, g) that placing v added to ``before``, or 0 if none do.
+        conflict (f, g) that ``place`` listed in ``grown``, or 0 if none do.
         Each new pair asks ``extend`` for k−1 more in ``masks[f] & masks[g]``;
         within one f, each g tried leaves the later pairs' candidates, since
         every clique holding f and g was searched with it."""
         need = self.k - 1
-        rest = self.inc[v] & grown
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            f = low.bit_length() - 1
-            near = masks[f]
-            new = near & ~before[f]
+        for f, new in grown:
+            low, near = 1 << f, masks[f]
             while new:
                 bit = new & -new
                 new ^= bit
@@ -572,31 +571,32 @@ class _PrefixSearch:
         """Searches the orders below the root and returns the earliest
         feasible (spine, pages), or None.
 
-        The search keeps its own stack of [state, next vertex to try], so
-        its depth (up to the vertex count) is not bounded by Python's
-        recursion limit, and tries only the free vertices from that one on.
-        Each child is settled where it is reached: skipped as a twin,
+        The search keeps its own stack, entry d the next vertex to try after
+        spine[:d], so its depth (up to the vertex count) is not bounded by
+        Python's recursion limit, and tries only the free vertices from that
+        one on. Each child is settled where it is reached: skipped as a twin,
         refuted by parity or ``clique``, coloured by the kernel when its
         spine is full, or else pushed. The root is never a full spine, as
         ``exact_mbt`` scans no level of a graph with fewer than 3 vertices.
         """
         n, k, twin, near, stats, deadline = self.n, self.k, self.twin, self.near, self.stats, self.deadline
-        stack = [[self.root(), 0]]
+        free, ends, masks = self.free, self.ends, self.masks
+        if self.pinned:
+            self.place(0, 0)  # the root is vertex 0, and depth 0 has no other vertex to try
+        stack = [n, 0] if self.pinned else [0]
         while stack:
-            frame = stack[-1]
-            parent, v = frame
-            pos, even = parent[1], parent[5][0]
-            rest = parent[4] >> v << v
+            d = len(stack) - 1
+            rest = free[d] >> stack[d] << stack[d]
             while rest:
                 low = rest & -rest
                 rest ^= low
                 v = low.bit_length() - 1
-                ways = self.leaves(parent, v)
+                ways = self.leaves(d, v)
                 if not ways[0]:
                     continue
                 t = twin[v]
-                if t < 0 or pos[t] >= 0:
-                    if not near[v] & even:
+                if t < 0 or not free[d] >> t & 1:
+                    if not near[v] & ends[d][0]:
                         break
                     stats.parity_refuted += 1
                 # a smaller twin is free, or v closes an edge over an odd run
@@ -604,22 +604,22 @@ class _PrefixSearch:
             else:
                 stack.pop()
                 continue
-            frame[1] = v + 1
+            stack[d] = v + 1
             if deadline is not None and time.monotonic() > deadline:
                 raise _Timeout
-            state, grown = self.place(parent, v)
-            if grown and self.clique(parent[2], state[2], v, grown):
+            grown = self.place(d, v)
+            if grown and self.clique(masks[d + 1], grown):
                 stats.clique_refuted += 1
                 self.settled += ways[0] * factorial(ways[1])
-            elif len(state[0]) < n:
-                stack.append([state, 0])
+            elif d + 1 < n:
+                stack.append(0)
             else:
                 self.settled += 1
-                out = color_graph(state[2], k, DEFAULT_ORDER_NODES, deadline)
+                out = color_graph(masks[n], k, DEFAULT_ORDER_NODES, deadline)
                 stats.kernel_calls += 1
                 stats.nodes += out.nodes
                 if out.status == FOUND:
-                    return state[0], out.colors
+                    return tuple(self.spine), out.colors
                 if out.status == UNKNOWN:
                     if deadline is not None and time.monotonic() > deadline:
                         raise _Timeout

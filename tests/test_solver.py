@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from itertools import combinations, islice, permutations
 from math import factorial
 from pathlib import Path
@@ -533,19 +534,21 @@ def test_overfull_start_never_passes_the_chromatic_index(g):
 
 
 @pytest.mark.parametrize(
-    "p, q, timeout, limit", [(3, 1201, 1, 3), (30, 31, 0.5, 1.25)], ids=["K3xC1201", "K30xC31"]
+    "p, q, timeout, limit", [(3, 1201, 0.25, 3), (30, 31, 0.5, 1.25)], ids=["K3xC1201", "K30xC31"]
 )
 def test_timeout_bounds_a_search_without_kernel_calls(p, q, timeout, limit):
     # K3xC1201 (n = 3,603) reaches its first full spine, and so its only
-    # kernel call, after more than 3 s of placements on a 2-core x86-64
-    # host, so the deadline must stop the descent itself; on K30xC31
-    # (m = 14,415) the greedy upper bound, built before the first deadline
-    # check, must itself stay well inside the budget
+    # kernel call, after about 0.9 s of placements on a 2-core x86-64 host,
+    # so a 0.25 s deadline must stop the descent itself: no kernel call,
+    # but clique searches ran. On K30xC31 (m = 14,415) the greedy upper
+    # bound, built before the first deadline check, must itself stay well
+    # inside the budget (about 0.2 s on that host)
     g = kpcq(p, q)
     start = time.monotonic()
     res = exact_mbt(g, SolveOptions(timeout_s=timeout))
     assert time.monotonic() - start < limit
     assert res.stats.timed_out and not res.exhaustive
+    assert res.stats.kernel_calls == 0 and res.stats.clique_steps > 0
     assert res.value == res.witness.page_count and validate(res.witness).valid
 
 
@@ -617,14 +620,15 @@ def test_orders_are_counted_only_for_settled_children(g, monkeypatch):
 
 
 def replay_state(search, spine):
-    state = search.root()
-    for v in spine[len(state[0]):]:
-        state = search.place(state, v)[0]
-    return state
+    # places spine on the search from the empty prefix; its state at
+    # prefix length d is then search.<field>[d]
+    for d, v in enumerate(spine):
+        search.place(d, v)
+    return search
 
 
 def replay(g, spine, symmetry=False):
-    return replay_state(_PrefixSearch(g, 1, symmetry, None, SolveStats()), spine)[2]
+    return replay_state(_PrefixSearch(g, 1, symmetry, None, SolveStats()), spine).masks[len(spine)]
 
 
 @given(graphs(min_n=1, max_n=8), st.randoms(use_true_random=False), st.integers(0, 8))
@@ -660,40 +664,36 @@ def test_clique_refutations_hold_in_every_completion(g, rnd, offset):
     head = max(0, g.n - 4)
     completions = [(*spine[:head], *tail) for tail in permutations(spine[head:])]
     full = [brute_conflict_masks(order, g.edges) for order in completions]
-    search = _PrefixSearch(g, k, False, None, SolveStats())
-    parent = replay_state(search, spine[:head])
+    search = replay_state(_PrefixSearch(g, k, False, None, SolveStats()), spine[:head])
     for at in range(head, g.n):
-        v = spine[at]
-        child, grown = search.place(parent, v)
+        grown = search.place(at, spine[at])
         common = [-1] * g.m
         for order, masks in zip(completions, full):
             if order[: at + 1] == tuple(spine[: at + 1]):
                 common = [c & mask for c, mask in zip(common, masks)]
-        clique = search.clique(parent[2], child[2], v, grown)
+        clique = search.clique(search.masks[at + 1], grown)
         members = [i for i in range(g.m) if clique >> i & 1]
         assert len(members) in (0, k + 1)
         assert all(common[a] >> b & 1 for a, b in combinations(members, 2))
-        parent = child
 
 
 def check_clique_is_exact(g, k, spine):
     # at each placement, ``clique`` finds k+1 pairwise-conflicting edges
-    # through a new conflict exactly when the brute-force oracle does
+    # through a new conflict exactly when the brute-force oracle does; the
+    # new conflicts are those ``place`` reports, at the edges at v
     search = _PrefixSearch(g, k, False, None, SolveStats())
-    parent = search.root()
-    for v in spine:
-        child, grown = search.place(parent, v)
-        before, masks = parent[2], child[2]
-        pairs = [
-            (f, e) for f in range(g.m) if v in g.edges[f] for e in range(g.m) if (masks[f] & ~before[f]) >> e & 1
-        ]
-        clique = search.clique(before, masks, v, grown) if grown else 0
+    for d, v in enumerate(spine):
+        grown = search.place(d, v)
+        before, masks = search.masks[d], search.masks[d + 1]
+        new = [(f, masks[f] & ~before[f]) for f in range(g.m) if v in g.edges[f]]
+        assert grown == [(f, mask) for f, mask in new if mask]
+        pairs = [(f, e) for f, mask in new for e in range(g.m) if mask >> e & 1]
+        clique = search.clique(masks, grown)
         assert bool(clique) == (brute_clique(masks, k + 1, pairs) is not None)
         members = [i for i in range(g.m) if clique >> i & 1]
         assert len(members) in (0, k + 1)
         assert all(masks[a] >> b & 1 for a, b in combinations(members, 2))
         assert not clique or any(clique >> f & clique >> e & 1 for f, e in pairs)
-        parent = child
 
 
 @given(graphs(min_n=2, max_n=7), st.randoms(use_true_random=False), st.integers(-1, 1))
@@ -711,10 +711,9 @@ def test_clique_finds_what_a_greedy_search_missed():
     g = Graph(7, edges)
     prefix = (5, 6, 4, 2, 3, 1)
     check_clique_is_exact(g, 5, prefix)
-    search = _PrefixSearch(g, 5, False, None, SolveStats())
-    parent = replay_state(search, prefix[:-1])
-    child, grown = search.place(parent, prefix[-1])
-    assert search.clique(parent[2], child[2], prefix[-1], grown).bit_count() == 6
+    search = replay_state(_PrefixSearch(g, 5, False, None, SolveStats()), prefix[:-1])
+    grown = search.place(5, prefix[-1])
+    assert search.clique(search.masks[6], grown).bit_count() == 6
 
 
 @given(
@@ -734,14 +733,12 @@ def test_parity_refutations_hold_in_every_completion(g, rnd, offset, symmetry):
         spine.remove(0)
         spine.insert(0, 0)
     search = _PrefixSearch(g, k, symmetry, None, SolveStats())
-    parent = search.root()
-    for at in range(len(parent[0]), g.n):
-        v = spine[at]
-        if search.near[v] & parent[5][0]:
+    for at, v in enumerate(spine):
+        if search.near[v] & search.ends[at][0]:
             head = spine[: at + 1]
             assert not any(brute_feasible(g.edges, (*head, *tail), k) for tail in permutations(spine[at + 1:]))
             break
-        parent = search.place(parent, v)[0]
+        search.place(at, v)
 
 
 def test_parity_refutes_a_prefix_that_holds_no_clique():
@@ -750,13 +747,57 @@ def test_parity_refutes_a_prefix_that_holds_no_clique():
     edges = ((0, 1), (0, 4), (0, 7), (1, 2), (1, 6), (2, 5), (2, 6), (3, 7), (5, 6))
     g = Graph(8, edges)
     prefix = (7, 0, 1, 2, 3)
-    search = _PrefixSearch(g, 3, False, None, SolveStats())
-    parent = replay_state(search, prefix[:-1])
-    assert search.near[3] & parent[5][0]
-    child, grown = search.place(parent, 3)
-    assert grown and search.clique(parent[2], child[2], 3, grown) == 0
+    search = replay_state(_PrefixSearch(g, 3, False, None, SolveStats()), prefix[:-1])
+    assert search.near[3] & search.ends[4][0]
+    grown = search.place(4, 3)
+    assert grown and search.clique(search.masks[5], grown) == 0
     rest = [v for v in range(8) if v not in prefix]
     assert not any(brute_feasible(edges, (*prefix, *tail), 3) for tail in permutations(rest))
+
+
+@given(graphs(min_n=3, max_n=8), st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=100)
+def test_a_sibling_overwrites_a_sibling(g, rnd, symmetry):
+    # the search keeps one root-to-leaf path: after a full spine, placing
+    # another free vertex u at depth d must leave the entries at d+1 as a
+    # fresh search of spine[:d] + [u] has them; vertex 0 stays pinned first
+    # under symmetry, as the search never replaces it
+    k = rnd.randint(1, max(1, max_degree(g)))
+    spine = list(range(g.n))
+    rnd.shuffle(spine)
+    if symmetry:
+        spine.remove(0)
+        spine.insert(0, 0)
+    d = rnd.randint(int(symmetry), g.n - 2)
+    u = rnd.choice(spine[d + 1:])
+    search = replay_state(_PrefixSearch(g, k, symmetry, None, SolveStats()), spine)
+    search.place(d, u)
+    prefix = [*spine[:d], u]
+    fresh = replay_state(_PrefixSearch(g, k, symmetry, None, SolveStats()), prefix)
+    assert search.spine[: d + 1] == prefix == fresh.spine[: d + 1]
+    assert [search.pos[v] for v in prefix] == list(range(d + 1))
+    for field in ("odd", "free", "ends", "masks"):
+        assert getattr(search, field)[d + 1] == getattr(fresh, field)[d + 1]
+    common = [-1] * g.m
+    for tail in permutations([v for v in spine[d:] if v != u]):
+        for i, mask in enumerate(brute_conflict_masks((*prefix, *tail), g.edges)):
+            common[i] &= mask
+    assert search.masks[d + 1] == common
+
+
+def test_deep_search_memory_is_linear_in_the_path():
+    # one descent 603 vertices deep; the search keeps one spine and one
+    # pos array, so its peak is the per-depth masks: about 6.6 MB on
+    # CPython 3.11, where a copy of pos, spine and odd per frame takes 12.2
+    g = kpcq(3, 201)
+    tracemalloc.start()
+    try:
+        res = exact_mbt(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == 5 and res.exhaustive
+    assert peak < 9 * 2**20
 
 
 @pytest.mark.parametrize("g", [complete(16), delete_edge(complete(16), (0, 1))], ids=lambda g: g.name)
@@ -900,10 +941,10 @@ def test_kernel_colours_each_full_spine_once(g, symmetry, monkeypatch):
     placed, coloured = [()], []
     place, kernel = _PrefixSearch.place, solver.color_graph
 
-    def placing(self, state, v):
-        child = place(self, state, v)
-        placed[0] = child[0][0]
-        return child
+    def placing(self, d, v):
+        grown = place(self, d, v)
+        placed[0] = tuple(self.spine[: d + 1])
+        return grown
 
     def colouring(masks, k, *args):
         spine = placed[0]
