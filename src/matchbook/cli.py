@@ -3,7 +3,9 @@
 Exit codes: 0 when the requested artifact was produced (and validated,
 where that applies), 1 for invalid or unsolved outcomes, 2 for usage or
 format errors. Machine-readable results go to stdout, diagnostics to
-stderr.
+stderr. Every document and result is written by ``formats.dumps``, as one
+line of ASCII JSON; only ``render`` without ``-o`` prints other text, its
+SVG.
 
 Each command imports only the modules it runs: ``gen`` and ``verify``
 never load the constructions, the solver or the renderer, and an embedding
@@ -13,7 +15,6 @@ by a construction never loads the solver.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,17 +33,13 @@ def _err(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _emit(args, doc: dict, summary: dict | None = None) -> None:
-    """Write the artifact to --output when given (summary goes to stdout),
-    otherwise print the artifact itself as the stdout result object."""
-    text = formats.dumps(doc)
+def _emit(args, text: str, summary: dict) -> None:
+    """Write the artifact's text to --output and print the summary with the
+    path, or print the artifact itself when there is no --output."""
     if args.output:
         Path(args.output).write_text(text)
-        out = dict(summary or {})
-        out["output"] = str(args.output)
-        print(json.dumps(out, indent=2))
-    else:
-        sys.stdout.write(text)
+        text = formats.dumps({**summary, "output": str(args.output)})
+    sys.stdout.write(text)
 
 
 def _report_to_dict(rep) -> dict:
@@ -82,7 +79,7 @@ def _cmd_gen(args) -> int:
     else:
         build, flags, _ = FAMILIES[args.family]
         g = build(*(_flag(args, f) for f in flags))
-    _emit(args, formats.graph_to_dict(g), {"name": g.name, "n": g.n, "edges": g.m})
+    _emit(args, formats.dumps(formats.graph_to_dict(g)), {"name": g.name, "n": g.n, "edges": g.m})
     return EXIT_OK
 
 
@@ -121,15 +118,15 @@ def _cmd_embed(args) -> int:
             raise ValueError(f"unknown method {method!r}")
     except constructions.ConstructionUnresolved as exc:
         _err(args, f"unresolved: {exc}")
-        print(json.dumps({"unresolved": True, "reason": str(exc)}, indent=2))
+        sys.stdout.write(formats.dumps({"unresolved": True, "reason": str(exc)}))
         return EXIT_UNSOLVED
     except constructions.ConstructionError as exc:
         _err(args, f"construction error: {exc}")
         return EXIT_UNSOLVED
 
     emb = outcome.embedding
-    doc = formats.embedding_to_dict(emb, outcome.scheme)
-    _emit(args, doc, {"valid": True, "page_count": emb.page_count, "scheme": outcome.scheme})
+    text = formats.dumps(formats.embedding_to_dict(emb, outcome.scheme))
+    _emit(args, text, {"valid": True, "page_count": emb.page_count, "scheme": outcome.scheme})
     return EXIT_OK
 
 
@@ -143,7 +140,7 @@ def _cmd_verify(args) -> int:
         _err(args, "embedding references a different graph (canonical forms differ)")
         return EXIT_USAGE
     rep = validate(doc.embedding)
-    print(json.dumps(_report_to_dict(rep), indent=2))
+    sys.stdout.write(formats.dumps(_report_to_dict(rep)))
     return EXIT_OK if rep.valid else EXIT_UNSOLVED
 
 
@@ -183,7 +180,7 @@ def _cmd_solve(args) -> int:
         },
         "witness": formats.embedding_to_dict(res.witness) if res.witness else None,
     }
-    print(json.dumps(out, indent=2))
+    sys.stdout.write(formats.dumps(out))
     if args.output and res.witness is not None:
         from .constructions import SCHEME_SOLVER
 
@@ -203,11 +200,7 @@ def _cmd_render(args) -> int:
     from .render import render_svg
 
     svg = render_svg(doc.embedding, rep, split_pages=args.split_pages)
-    if args.output:
-        Path(args.output).write_text(svg)
-        print(json.dumps({"output": str(args.output), "page_count": doc.embedding.page_count}))
-    else:
-        sys.stdout.write(svg)
+    _emit(args, svg, {"page_count": doc.embedding.page_count})
     return EXIT_OK
 
 

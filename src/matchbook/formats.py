@@ -11,7 +11,8 @@ is trusted by the constructions, so it must name a kind of
 factor graphs nested at most ``MAX_PRODUCT_DEPTH`` product tags deep; it
 must agree with the document's n and m in closed form, and then
 regenerate exactly the document's edges. The size check comes first, so
-a tag that claims a huge graph is rejected without building it.
+a tag that claims a huge graph is rejected without building it. ``dumps``
+writes every document as one line of ASCII JSON.
 """
 
 from __future__ import annotations
@@ -175,7 +176,9 @@ def parse_embedding_dict(doc) -> EmbeddingDocument:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """The one text form of every document and result: one line of ASCII
+    JSON (other characters escaped), so its size is linear in the document."""
+    return json.dumps(doc) + "\n"
 
 
 def _parse(parse, text: str):

@@ -412,6 +412,53 @@ def test_embed_stdout_is_embedding_doc(capsys, tmp_path):
     assert doc["type"] == "embedding" and doc["page_count"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["gen", "--family", "kpcq", "--p", "4", "--q", "3"], 0, id="gen"),
+        pytest.param(["gen", "--family", "kpcq", "--p", "4", "--q", "3", "-o", "out.json"], 0, id="gen-o"),
+        pytest.param(["embed", "k.json"], 0, id="embed"),
+        pytest.param(["embed", "k.json", "-o", "out.json"], 0, id="embed-o"),
+        pytest.param(["embed", "c5.json", "--max-pages", "2"], 1, id="embed-unresolved"),
+        pytest.param(["verify", "k.json", "e.json"], 0, id="verify"),
+        pytest.param(["solve", "c5.json"], 0, id="solve"),
+        pytest.param(["solve", "c5.json", "-o", "out.json"], 0, id="solve-o"),
+        pytest.param(["render", "e.json", "-o", "out.svg"], 0, id="render-o"),
+    ],
+)
+def test_each_result_is_one_ascii_json_line(capsys, tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    save_graph(kpcq(4, 3), "k.json")
+    save_embedding(kpcq_embedding(4, 3).embedding, "e.json")
+    save_graph(Graph(5, cycle(5).edges), "c5.json")
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert out.isascii() and out.endswith("\n") and out.count("\n") == 1
+    assert isinstance(json.loads(out), dict)
+    if argv[-1] == "out.json":
+        text = (tmp_path / "out.json").read_text()
+        assert text.isascii() and text.endswith("\n") and text.count("\n") == 1
+        assert isinstance(json.loads(text), dict)
+
+
+def test_gen_and_embed_print_a_product_name_on_an_ascii_stdout(tmp_path):
+    # the name K5□K3,3 is escaped in the JSON, so an ASCII stdout takes it
+    save_graph(complete(5), tmp_path / "l.json")
+    save_graph(complete_bipartite(3, 3), tmp_path / "r.json")
+    env = {**os.environ, "PYTHONPATH": str(Path(matchbook.__file__).parent.parent), "PYTHONIOENCODING": "ascii"}
+
+    def cli(*argv):
+        out = subprocess.run(
+            [sys.executable, "-m", "matchbook", *argv], cwd=tmp_path, env=env, capture_output=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout
+
+    text = cli("gen", "--family", "product-of-files", "--left", "l.json", "--right", "r.json")
+    (tmp_path / "g.json").write_bytes(text)
+    assert json.loads(text)["name"] == json.loads(cli("embed", "g.json"))["graph"]["name"] == "K5□K3,3"
+
+
 @pytest.mark.parametrize("p", [4, 5, 6])
 @pytest.mark.parametrize("q", [3, 4, 5, 6])
 def test_gen_embed_verify_round_trip_grid(capsys, tmp_path, p, q):
@@ -696,7 +743,12 @@ def test_gen_product_of_files_keeps_the_product_depth_limit(capsys, tmp_path):
         )
         assert got == code
         if code == 0:
-            assert run(capsys, "solve", str(gp))[0] == 0
+            # each level nests the output deeper, so stdout stays linear in
+            # the input only as one line: under 3x the compact 64-deep text
+            limit = 3 * len(_deep_text("product", MAX_PRODUCT_DEPTH, embedding=False))
+            for command in ("solve", "embed"):
+                got, out, _ = run(capsys, command, str(gp))
+                assert got == 0 and len(out) < limit, command
         else:
             assert out == "" and not gp.exists()
             assert err == f"format error: product family tags are nested more than {MAX_PRODUCT_DEPTH} deep\n"

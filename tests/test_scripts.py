@@ -25,8 +25,11 @@ def run_script(*argv):
 
 
 def test_grid_sweep_runs():
+    # each row compares the pages with the counted bound and names its reason
     out = run_script("grid_sweep.py", "--pmax", "4", "--qmax", "4")
     assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()[1:-1]]
+    assert [row[5] for row in rows] == ["regular-nonbipartite"] * 4
     assert "failures: 0" in out.stdout
 
 
