@@ -7,13 +7,15 @@ PYTHONPATH. The two sides must agree on every command's exit code and
 stderr, on its stdout (parsed when it is JSON, as text otherwise) and on
 every file in the work directory at the end (parsed when it is JSON, byte
 for byte otherwise, as for SVG). A solve's `stats.elapsed_s` is a wall
-time and is left out. Standard library only; nothing here imports
-matchbook.
+time and is left out. A JSON difference is reported with the keys at
+which the two sides differ, such as `stats.clique_refuted`. Standard
+library only; nothing here imports matchbook.
 
 The cases cover gen, embed, verify, solve and render, with and without
 -o, on small K_p x C_q graphs, a product of files (K5 x K3,3), C5 and
-K3,3 solved exactly, an unresolved embed, an invalid embedding, a format
-error, and a K1 product nested 64 product tags deep. --large adds
+K3,3 solved exactly, a graph solved after the prefix search refutes
+prefixes by cliques and by page parity, an unresolved embed, an invalid
+embedding, a format error, and a K1 product nested 64 product tags deep. --large adds
 K30 x C31 (m = 14,415), solved with --timeout 0.
 
 Usage:
@@ -32,6 +34,7 @@ from itertools import combinations
 from pathlib import Path
 
 MAX_PRODUCT_DEPTH = 64
+MISSING = object()  # a key one side of a comparison lacks
 
 
 def graph_doc(name: str, n: int, edges, family=None) -> dict:
@@ -53,8 +56,9 @@ def inputs() -> dict[str, str]:
     k33 = graph_doc("K3,3", 6, [(i, 3 + j) for i in range(3) for j in range(3)])
     c5 = graph_doc("C5", 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     crossing = graph_doc("G", 4, [(0, 2), (1, 3)])
+    refuted = graph_doc("R", 8, [(0, 1), (0, 4), (0, 7), (1, 2), (1, 6), (2, 5), (2, 6), (3, 7), (5, 6)])
     docs = {"k5.json": k5, "k33.json": k33, "c5.json": c5, "k1.json": graph_doc("K1", 1, []),
-            "crossing.json": crossing,
+            "crossing.json": crossing, "refuted.json": refuted,
             "crossing.emb.json": {"type": "embedding", "graph": crossing, "spine": [0, 1, 2, 3],
                                   "pages": [0, 0], "page_count": 1}}
     files = {name: json.dumps(doc) for name, doc in docs.items()}
@@ -89,6 +93,7 @@ def cases(large: bool) -> list[list[str]]:
         ["solve", "c5.json"],
         ["solve", "c5.json", "-o", "c5.emb.json"],
         ["solve", "k33.json", "--no-symmetry"],
+        ["solve", "refuted.json"],
         ["solve", "c5.json", "--max-pages", "2"],
         ["embed", "c5.json"],
         ["embed", "c5.json", "--method", "solver", "--max-pages", "2"],
@@ -118,6 +123,15 @@ def parsed(text: str):
     return doc
 
 
+def differing_keys(x, y, at: str = "") -> list[str]:
+    """The dotted keys at which two parsed JSON values differ; a key that
+    one side lacks differs."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        return [p for k in sorted(x.keys() | y.keys())
+                for p in differing_keys(x.get(k, MISSING), y.get(k, MISSING), f"{at}.{k}" if at else k)]
+    return [] if x == y else [at or "the whole document"]
+
+
 def run_side(src: str, work: Path, argvs: list[list[str]]) -> tuple[list, dict]:
     for name, text in inputs().items():
         (work / name).write_text(text)
@@ -129,6 +143,10 @@ def run_side(src: str, work: Path, argvs: list[list[str]]) -> tuple[list, dict]:
         results.append((proc.returncode, proc.stderr, parsed(proc.stdout), len(proc.stdout.encode())))
     files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
     return results, files
+
+
+def at_keys(x, y) -> str:
+    return f" at {', '.join(differing_keys(x, y))}" if isinstance(x, dict) and isinstance(y, dict) else ""
 
 
 def main() -> int:
@@ -150,13 +168,13 @@ def main() -> int:
     for argv, a, b in zip(argvs, base, head):
         for what, x, y in (("exit code", a[0], b[0]), ("stderr", a[1], b[1]), ("stdout", a[2], b[2])):
             if x != y:
-                diffs.append(f"{' '.join(argv)}: {what} differs")
+                diffs.append(f"{' '.join(argv)}: {what} differs" + at_keys(x, y))
     for name in sorted(base_files.keys() | head_files.keys()):
         x, y = base_files.get(name), head_files.get(name)
         if x is not None and y is not None and name.endswith(".json"):
             x, y = json.loads(x), json.loads(y)
         if x != y:
-            diffs.append(f"{name}: file differs")
+            diffs.append(f"{name}: file differs" + at_keys(x, y))
     for line in diffs:
         print(line)
     stdout = [sum(r[3] for r in side) for side in (base, head)]

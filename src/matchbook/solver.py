@@ -18,10 +18,10 @@ every order that extends it, so k+1 edges that all conflict under them
 refute a whole subtree, since each page holds at most one of those edges.
 An exact search finds such a clique whenever one holds a newly decided
 conflict. Page parity is the other rule that prunes a prefix: a page is a
-non-crossing matching, so it cannot cover every vertex of an odd run
-strictly inside one of its edges, and a vertex with k edges is covered on
-all k pages. The kernel colours only full spines, each on its own
-conflicts, and gives the witness pages.
+non-crossing matching, so it cannot cover every vertex of an odd set on
+one side of one of its edges, strictly inside it or outside it, and a
+vertex with k edges is covered on all k pages. The kernel colours only
+full spines, each on its own conflicts, and gives the witness pages.
 
 The lower bound is a count and runs no search (``lower_bound``). One rule
 skips search that cannot change an answer, proved where it is applied:
@@ -322,7 +322,8 @@ class SolveStats:
     ``kernel_calls`` counts the full spines the scan coloured, ``nodes`` the
     kernel's search nodes over them, ``clique_refuted`` the prefixes that a
     clique refuted, ``clique_steps`` the steps of the clique search and
-    ``parity_refuted`` the prefixes that page parity refuted.
+    ``parity_refuted`` the prefixes that page parity refuted, inside or
+    outside the edge they closed.
     """
 
     __slots__ = (
@@ -370,13 +371,13 @@ class _PrefixSearch:
 
     The prefix state lives in arrays indexed by prefix length d: one
     ``spine`` and ``pos``, and per d the parity masks ``odd[d]``, free
-    vertices ``free[d]``, ``ends[d]`` and conflict masks ``masks[d]``, which
-    start from the shared-endpoint conflicts; placing v adds, for each edge
-    it closes, the crossings ``layout.straddling`` decides that the masks
-    lack. The stack holds one root-to-leaf path, so placing v after
-    spine[:d] writes only ``spine[d]``, ``pos[v]`` and the entries at d+1,
-    which a later sibling overwrites; ``pos`` is read only at the placed end
-    of an edge with one end placed, so never stale. No stored masks list
+    vertices ``free[d]``, ``ends[d]``, ``before[d]`` and conflict masks
+    ``masks[d]``, which start from the shared-endpoint conflicts; placing v
+    adds, for each edge it closes, the crossings ``layout.straddling``
+    decides that the masks lack. The stack holds one root-to-leaf path, so
+    placing v after spine[:d] writes only ``spine[d]``, ``pos[v]`` and the
+    entries at d+1, which a later sibling overwrites; ``pos`` is read only
+    at the placed end of an edge with one end placed, so never stale. No stored masks list
     changes: ``masks[d+1]`` is the parent's when the placement decided no
     new conflict, else a copy. A level is one search, in this process, so
     its result and counters do not depend on ``SolveOptions.jobs``. It
@@ -417,26 +418,31 @@ class _PrefixSearch:
     exhaustive.
 
     Before ``place``, page parity may refute the child instead, with
-    nothing written. Call a vertex short when it has fewer than k edges.
-    Placing v at position d refutes the child when it closes an edge (u, v)
-    with ``d − pos[u]`` even and no short vertex at positions
-    ``pos[u]+1 … d−1``. Proof: in any completion, (u, v) lies on some
-    page P, a non-crossing matching. The vertices strictly between u and v
-    are placed already, there are ``d − pos[u] − 1`` of them (odd), and
-    an edge of P at one of them ends strictly between u and v too, since
-    one ending outside would cross (u, v) and one ending at u or v would
-    share its end. So P covers an even number of them and leaves one
-    uncovered. But each has k or more edges and a page holds at most one
-    edge at a vertex, so it is covered on every page, P included (a vertex
-    with more than k edges fits no k pages at all). Hence no completion
-    fits k pages. ``ends[d][0]`` and ``ends[d][1]`` hold the placed vertices
-    at an even and an odd distance before position d, counting only those
-    at or after the last short vertex: a short vertex starts them afresh,
-    as it may lie at an end of (u, v) but not strictly between. The child
-    is refuted when ``near[v] & ends[d][0]`` is nonzero, and is settled
-    with the same count of canonical orders as a clique-refuted one, so the
-    witness, ``per_level`` and ``orders_tested`` do not change; only search
-    is saved.
+    nothing written (``parity``). Call a vertex short when it has fewer
+    than k edges. Placing v at position d closes each edge (u, v) with u
+    placed, and splits the other vertices into I, those at positions
+    ``pos[u]+1 … d−1``, and O, those placed before u and the unplaced ones
+    but v. Neither set depends on the completion, |I| = d − pos[u] − 1 and
+    |O| = n − 2 − |I|. The child is refuted when I or O is odd and holds no
+    short vertex. Proof: in any completion, (u, v) lies on some page P, a
+    non-crossing matching. An edge of P at a vertex of I ends in I, and one
+    at a vertex of O ends in O, since one ending on the other side would
+    cross (u, v) and one ending at u or v would share its end. So P covers
+    an even number of that odd set and leaves one uncovered. But each has
+    k or more edges and a page holds at most one edge at a vertex, so it is
+    covered on every page, P included (a vertex with more than k edges fits
+    no k pages at all). Hence no completion fits k pages. ``ends[d][0]``
+    and ``ends[d][1]`` hold the placed vertices at an even and an odd
+    distance before position d, counting only those at or after the last
+    short vertex: a short vertex starts them afresh, as it may lie at an
+    end of (u, v) but not in I. ``before[d][0]`` and ``before[d][1]`` hold
+    the placed vertices at even and odd positions up to and including the
+    first short one, as a short u may end (u, v) but none may precede it.
+    So I refutes when ``near[v] & ends[d][0]`` is nonzero, and O, when no
+    unplaced vertex but v is short, when ``near[v] & before[d][(d + n) % 2]``
+    is. The child is settled with the same count of canonical orders as a
+    clique-refuted one, so the witness, ``per_level`` and ``orders_tested``
+    do not change; only search is saved.
     """
 
     def __init__(self, g: Graph, k: int, symmetry: bool, deadline: float | None, stats: SolveStats):
@@ -459,6 +465,7 @@ class _PrefixSearch:
                     last[hood] = v
         self.spine, self.pos, self.odd = [0] * g.n, [0] * g.n, [0] * (g.n + 1)
         self.free, self.ends = [(1 << g.n) - 1] * (g.n + 1), [(0, 0)] * (g.n + 1)
+        self.before = [(0, 0)] * (g.n + 1)
         self.masks = [endpoint_conflict_masks(g)] * (g.n + 1)
         self.deadline = deadline
         self.stats = stats
@@ -493,7 +500,17 @@ class _PrefixSearch:
         self.free[d + 1] = self.free[d] ^ 1 << v
         even, far = self.ends[d]
         self.ends[d + 1] = (0, 1 << v) if self.short >> v & 1 else (far, even | 1 << v)
+        b = self.before[d]  # v joins the side of d's parity while no short vertex is placed
+        self.before[d + 1] = b if self.short & ~self.free[d] else (b[0] | (d + 1) % 2 << v, b[1] | d % 2 << v)
         return grown
+
+    def parity(self, d: int, v: int) -> bool:
+        """Whether page parity refutes placing v after spine[:d], by the
+        vertices inside or outside an edge it closes."""
+        across = self.ends[d][0]
+        if not self.short & self.free[d] & ~(1 << v):
+            across |= self.before[d][(d + self.n) % 2]
+        return bool(self.near[v] & across)
 
     def leaves(self, d: int, v: int) -> tuple[int, int]:
         """(c, f): c·f! canonical spine orders extend spine[:d] by v."""
@@ -579,8 +596,8 @@ class _PrefixSearch:
         spine is full, or else pushed. The root is never a full spine, as
         ``exact_mbt`` scans no level of a graph with fewer than 3 vertices.
         """
-        n, k, twin, near, stats, deadline = self.n, self.k, self.twin, self.near, self.stats, self.deadline
-        free, ends, masks = self.free, self.ends, self.masks
+        n, k, twin, stats, deadline = self.n, self.k, self.twin, self.stats, self.deadline
+        free, masks = self.free, self.masks
         if self.pinned:
             self.place(0, 0)  # the root is vertex 0, and depth 0 has no other vertex to try
         stack = [n, 0] if self.pinned else [0]
@@ -596,10 +613,10 @@ class _PrefixSearch:
                     continue
                 t = twin[v]
                 if t < 0 or not free[d] >> t & 1:
-                    if not near[v] & ends[d][0]:
+                    if not self.parity(d, v):
                         break
                     stats.parity_refuted += 1
-                # a smaller twin is free, or v closes an edge over an odd run
+                # a smaller twin is free, or page parity refutes v
                 self.settled += ways[0] * factorial(ways[1])
             else:
                 stack.pop()

@@ -78,3 +78,15 @@ def test_bench_corpus_pins_hold_on_the_committed_labelling():
         edges = sorted(tuple(sorted(edge)) for edge in e["edges"])
         out = matchbook.solver.exact_mbt(Graph(e["n"], tuple(edges)))
         assert run.Solve.check(e, edges, out) == [], e["name"]
+
+
+def test_cli_identity_names_the_keys_that_differ():
+    spec = importlib.util.spec_from_file_location("cli_identity", ROOT / "scripts" / "cli_identity.py")
+    ident = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ident)
+    base = {"value": 3, "stats": {"nodes": 16, "parity_refuted": 0, "per_level": {"3": 10}}}
+    head = {"value": 3, "stats": {"nodes": 9, "parity_refuted": 2, "per_level": {"3": 10}}}
+    assert ident.differing_keys(base, head) == ["stats.nodes", "stats.parity_refuted"]
+    assert ident.differing_keys(base, {**base, "extra": None}) == ["extra"]
+    assert ident.differing_keys([1], [2]) == ["the whole document"]
+    assert ident.at_keys(base, head) == " at stats.nodes, stats.parity_refuted"

@@ -577,6 +577,18 @@ GOLDEN = {
 }
 
 
+# clique- and parity-refuted prefixes of exact_mbt on corpus graphs; parity
+# is tried first, so a prefix that both rules refute counts as parity's,
+# and any change to what either rule sees moves the split
+REFUTED = {"R7-267": (330, 562), "R2-168": (712, 690)}
+
+
+@pytest.mark.parametrize("name", list(REFUTED))
+def test_exact_mbt_refutation_split(name):
+    s = exact_mbt(_corpus_graph(name)).stats
+    assert (s.clique_refuted, s.parity_refuted) == REFUTED[name]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_exact_mbt_golden_counters(name, jobs):
@@ -725,7 +737,9 @@ def test_clique_finds_what_a_greedy_search_missed():
 @settings(max_examples=150, deadline=None)
 def test_parity_refutations_hold_in_every_completion(g, rnd, offset, symmetry):
     # each placement along a random spine (vertex 0 first under symmetry):
-    # when page parity refutes it, no completion of the prefix has k pages
+    # when page parity refutes it, on either side of the edge it closes, no
+    # completion of the prefix has k pages; at k = Δ + 1 every vertex is
+    # short, so parity must refute nothing there
     k = max(1, max_degree(g) + offset)
     spine = list(range(g.n))
     rnd.shuffle(spine)
@@ -734,7 +748,7 @@ def test_parity_refutations_hold_in_every_completion(g, rnd, offset, symmetry):
         spine.insert(0, 0)
     search = _PrefixSearch(g, k, symmetry, None, SolveStats())
     for at, v in enumerate(spine):
-        if search.near[v] & search.ends[at][0]:
+        if search.parity(at, v):
             head = spine[: at + 1]
             assert not any(brute_feasible(g.edges, (*head, *tail), k) for tail in permutations(spine[at + 1:]))
             break
@@ -748,11 +762,43 @@ def test_parity_refutes_a_prefix_that_holds_no_clique():
     g = Graph(8, edges)
     prefix = (7, 0, 1, 2, 3)
     search = replay_state(_PrefixSearch(g, 3, False, None, SolveStats()), prefix[:-1])
-    assert search.near[3] & search.ends[4][0]
+    assert search.near[3] & search.ends[4][0] and search.parity(4, 3)
     grown = search.place(4, 3)
     assert grown and search.clique(search.masks[5], grown) == 0
     rest = [v for v in range(8) if v not in prefix]
     assert not any(brute_feasible(edges, (*prefix, *tail), 3) for tail in permutations(rest))
+
+
+def test_parity_refutes_by_the_vertices_outside_the_closed_edge():
+    # the path 5-1-0-2-3-4 at k = 2: placing 1 closes (5, 1) over the run
+    # {4}, which holds the short vertex 4, so only the outside can refute;
+    # outside lie 2 (placed before 5) and the unplaced 0 and 3, three
+    # vertices of degree k, and the page of (5, 1) leaves one uncovered
+    edges = ((0, 1), (0, 2), (1, 5), (2, 3), (3, 4))
+    g = Graph(6, edges)
+    prefix = (2, 5, 4, 1)
+    search = replay_state(_PrefixSearch(g, 2, False, None, SolveStats()), prefix[:-1])
+    assert not search.near[1] & search.ends[3][0]
+    assert search.parity(3, 1)
+    grown = search.place(3, 1)
+    assert grown and search.clique(search.masks[4], grown) == 0
+    assert not any(brute_feasible(edges, (*prefix, *tail), 2) for tail in permutations((0, 3)))
+
+
+@pytest.mark.parametrize("symmetry", [False, True])
+def test_parity_refutes_c5_at_its_first_closed_edge(symmetry):
+    # the prefix form of the regular-nonbipartite bound: in a regular graph
+    # of odd order at k = its degree, the sets inside and outside a closed
+    # edge hold n − 2 full vertices between them, so one is odd; every prefix of
+    # C5 is refuted at 2 pages where it first closes an edge
+    g = cycle(5)
+    stats = SolveStats()
+    assert _PrefixSearch(g, 2, symmetry, None, stats).run() is None
+    assert (stats.clique_refuted, stats.kernel_calls) == (0, 0) and stats.parity_refuted > 0
+    for spine in spine_orders(5, symmetry):
+        search = _PrefixSearch(g, 2, symmetry, None, SolveStats())
+        at = next(d for d in range(1, 5) if search.near[spine[d]] & sum(1 << u for u in spine[:d]))
+        assert replay_state(search, spine[:at]).parity(at, spine[at])
 
 
 @given(graphs(min_n=3, max_n=8), st.randoms(use_true_random=False), st.booleans())
@@ -776,7 +822,7 @@ def test_a_sibling_overwrites_a_sibling(g, rnd, symmetry):
     fresh = replay_state(_PrefixSearch(g, k, symmetry, None, SolveStats()), prefix)
     assert search.spine[: d + 1] == prefix == fresh.spine[: d + 1]
     assert [search.pos[v] for v in prefix] == list(range(d + 1))
-    for field in ("odd", "free", "ends", "masks"):
+    for field in ("odd", "free", "ends", "before", "masks"):
         assert getattr(search, field)[d + 1] == getattr(fresh, field)[d + 1]
     common = [-1] * g.m
     for tail in permutations([v for v in spine[d:] if v != u]):
