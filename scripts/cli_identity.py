@@ -6,17 +6,20 @@ runs the same `python -m matchbook` commands there with its tree first on
 PYTHONPATH. The two sides must agree on every command's exit code and
 stderr, on its stdout (parsed when it is JSON, as text otherwise) and on
 every file in the work directory at the end (parsed when it is JSON, byte
-for byte otherwise, as for SVG). A solve's `stats.elapsed_s` is a wall
-time and is left out. A JSON difference is reported with the keys at
-which the two sides differ, such as `stats.clique_refuted`. Standard
-library only; nothing here imports matchbook.
+for byte otherwise, as for SVG). A solve's `stats.elapsed_s`, a wall
+time that older trees print, is left out. A JSON difference is reported
+with the keys at which the two sides differ, such as
+`stats.clique_refuted`. Standard library only; nothing here imports
+matchbook.
 
 The cases cover gen, embed, verify, solve and render, with and without
--o, on small K_p x C_q graphs, a product of files (K5 x K3,3), C5 and
-K3,3 solved exactly, a graph solved after the prefix search refutes
-prefixes by cliques and by page parity, an unresolved embed, an invalid
-embedding, a format error, and a K1 product nested 64 product tags deep. --large adds
-K30 x C31 (m = 14,415), solved with --timeout 0.
+-o, on small K_p x C_q graphs, two products of files (K5 x K3,3, whose
+untagged right factor goes to the solver, and K5 x P3, whose right
+factor carries its family tag), C5 and K3,3 solved exactly, a graph
+solved after the prefix search refutes prefixes by cliques and by page
+parity, an unresolved embed, an invalid embedding, a format error, and a
+K1 product nested 64 product tags deep. --large adds K30 x C31
+(m = 14,415), solved with --timeout 0.
 
 Usage:
   python3 scripts/cli_identity.py --base OLD/src --head src [--large]
@@ -87,6 +90,8 @@ def cases(large: bool) -> list[list[str]]:
         out += pipeline(f"k{p}c{q}", ["--family", "kpcq", "--p", str(p), "--q", str(q)])
     out += [["solve", "k4c3.json"]]
     out += pipeline("prod", ["--family", "product-of-files", "--left", "k5.json", "--right", "k33.json"])
+    out += [["gen", "--family", "path", "--n", "3", "-o", "p3.json"]]
+    out += pipeline("prodp3", ["--family", "product-of-files", "--left", "k5.json", "--right", "p3.json"])
     out += pipeline("deep", ["--family", "product-of-files", "--left", "f63.json", "--right", "k1.json"])
     out += [
         ["solve", "deep.json"],

@@ -26,13 +26,11 @@ _HOMES = {
             "ConstructionError",
             "ConstructionOutcome",
             "ConstructionUnresolved",
-            "DispersableWitness",
             "auto_embedding",
             "complete_embedding",
             "construct",
             "even_cycle_embedding",
             "kpcq_embedding",
-            "make_witness",
             "path_witness",
             "product_embedding",
             "witness_for",

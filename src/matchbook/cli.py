@@ -168,7 +168,6 @@ def _cmd_solve(args) -> int:
         "stats": {
             "orders_tested": res.stats.orders_tested,
             "nodes": res.stats.nodes,
-            "elapsed_s": round(res.stats.elapsed_s, 3),
             "per_level": {str(k): v for k, v in res.stats.per_level.items()},
             "timed_out": res.stats.timed_out,
             "kernel_calls": res.stats.kernel_calls,

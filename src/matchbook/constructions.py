@@ -1,11 +1,13 @@
 """Constructive matching book embeddings.
 
 Covers complete graphs (congruence pages: edge (a, b) on page (a+b) mod p
-gives parallel, noncrossing chords), dispersable witnesses for paths and
+gives parallel, noncrossing chords), dispersable embeddings of paths and
 even cycles, the block-copy product construction, and a direct snake-grid
 scheme that embeds a complete graph stacked over an odd cycle in exactly
 max degree + 1 pages (over an even cycle, the product construction does
-the same). ``SCHEMES`` is the one map from a family tag to a scheme:
+the same). A product orients each block copy by the right factor's
+bipartition, so its right factor is just an embedding in max-degree
+pages. ``SCHEMES`` is the one map from a family tag to a scheme:
 ``kpcq_embedding`` and a product's right-factor witness are both a
 graph's ``auto`` embedding. Every embedding is validated once in
 ``construct`` before it is returned; the constructors themselves check
@@ -53,103 +55,69 @@ class ConstructionUnresolved(Exception):
     the exact solver found none within its page cap."""
 
 
-class DispersableWitness(NamedTuple):
-    """A max-degree-page matching book embedding of a bipartite graph plus
-    the 2-colouring that orients block copies in the product construction
-    (0 = forward block, 1 = reversed block)."""
-
-    embedding: BookEmbedding
-    coloring: tuple[int, ...]
-
-
 class ConstructionOutcome(NamedTuple):
     embedding: BookEmbedding
     scheme: str
-
-
-def _normalized_pages(edges, raw: dict) -> tuple[tuple[int, ...], int]:
-    used = sorted(set(raw.values()))
-    remap = {p: i for i, p in enumerate(used)}
-    return tuple(remap[raw[e]] for e in edges), len(used)
 
 
 def complete_embedding(p: int) -> BookEmbedding:
     """Embed the complete graph on p vertices in p pages (1 page for p=2).
 
     With the natural spine, a page holds the edges (a, b) with a+b fixed
-    mod p: parallel chords, hence a noncrossing matching.
+    mod p: parallel chords, hence a noncrossing matching. For p >= 3 every
+    residue occurs on some edge, so the p pages are all used; K1 and K2
+    have at most one edge, on page 0.
     """
     if p < 1:
         raise ValueError("complete graph needs p >= 1")
     g = complete(p)
-    raw = {e: (e[0] + e[1]) % p for e in g.edges}
-    pages, count = _normalized_pages(g.edges, raw)
-    return BookEmbedding(g, tuple(range(p)), pages, count)
+    if p <= 2:
+        return BookEmbedding(g, range(p), (0,) * g.m, g.m)
+    return BookEmbedding(g, range(p), ((a + b) % p for a, b in g.edges), p)
 
 
-def even_cycle_embedding(m: int) -> DispersableWitness:
-    """Two-page witness for the cycle on 2m vertices, m >= 2."""
+def even_cycle_embedding(m: int) -> BookEmbedding:
+    """Two-page embedding of the cycle on 2m vertices, m >= 2."""
     if m < 2:
         raise ValueError("even cycle witness needs m >= 2")
     g = cycle(2 * m)
-    raw = {}
-    for u, v in g.edges:
-        if (u, v) == (0, 2 * m - 1):
-            raw[(u, v)] = 1
-        else:
-            raw[(u, v)] = u % 2
-    pages = tuple(raw[e] for e in g.edges)
-    emb = BookEmbedding(g, tuple(range(2 * m)), pages, 2)
-    return DispersableWitness(emb, tuple(v % 2 for v in range(2 * m)))
+    # edge (u, u+1) on page u mod 2, and the closing edge (0, 2m-1) on page 1
+    pages = (1 if v - u > 1 else u % 2 for u, v in g.edges)
+    return BookEmbedding(g, range(2 * m), pages, 2)
 
 
-def path_witness(n: int) -> DispersableWitness:
-    """Alternating-page witness for the path on n vertices, n >= 2."""
+def path_witness(n: int) -> BookEmbedding:
+    """Alternating-page embedding of the path on n vertices, n >= 2."""
     if n < 2:
         raise ValueError("path witness needs n >= 2")
     g = path(n)
-    pages = tuple(u % 2 for u, _ in g.edges)
-    emb = BookEmbedding(g, tuple(range(n)), pages, 1 if n == 2 else 2)
-    return DispersableWitness(emb, tuple(v % 2 for v in range(n)))
+    return BookEmbedding(g, range(n), (u % 2 for u, _ in g.edges), 1 if n == 2 else 2)
 
 
-def make_witness(emb: BookEmbedding, coloring) -> DispersableWitness:
-    """Check and package a dispersable witness."""
-    coloring = tuple(coloring)
-    rep = validate(emb)
-    if not rep.valid:
-        raise ValueError("witness embedding is not a valid matching book embedding")
-    if emb.page_count != max_degree(emb.graph):
-        raise ValueError(
-            f"witness needs exactly {max_degree(emb.graph)} pages, got {emb.page_count}"
-        )
-    if len(coloring) != emb.graph.n or any(c not in (0, 1) for c in coloring):
-        raise ValueError("coloring must assign 0/1 to every vertex")
-    if any(coloring[u] == coloring[v] for u, v in emb.graph.edges):
-        raise ValueError("coloring is not a proper 2-coloring")
-    return DispersableWitness(emb, coloring)
-
-
-def product_embedding(g_emb: BookEmbedding, b_wit: DispersableWitness) -> BookEmbedding:
-    """Embed the product of G and a dispersable bipartite B.
+def product_embedding(g_emb: BookEmbedding, b_emb: BookEmbedding) -> BookEmbedding:
+    """Embed the product of G and a bipartite B embedded in max-degree pages.
 
     Each vertex of B becomes one contiguous block holding a copy of G's
-    spine, forward for colour 0 and reversed for colour 1. Copies of G keep
-    their pages; the rung bundle of every B-edge lands on one fresh page
-    per witness page, where the opposite block orientations make the
-    bundle's arcs concentric.
+    spine, forward on side 0 of B's bipartition and reversed on side 1.
+    Copies of G keep their pages; the rung bundle of every B-edge lands on
+    one fresh page per page of B, where the opposite block orientations
+    make the bundle's arcs concentric.
     """
-    grep = validate(g_emb)
-    if not grep.valid:
-        raise ValueError("left embedding is not a valid matching book embedding")
-    make_witness(b_wit.embedding, b_wit.coloring)
-    gg, bb = g_emb.graph, b_wit.embedding.graph
+    for side, emb in (("left", g_emb), ("right", b_emb)):
+        if not validate(emb).valid:
+            raise ValueError(f"{side} embedding is not a valid matching book embedding")
+    gg, bb = g_emb.graph, b_emb.graph
+    coloring = bipartition(bb).coloring
+    if coloring is None:
+        raise ValueError(f"right factor {bb.name} is not bipartite")
+    if b_emb.page_count != max_degree(bb):
+        raise ValueError(f"right factor needs exactly {max_degree(bb)} pages, got {b_emb.page_count}")
     prod = cartesian_product(gg, bb)
     ng = gg.n
 
     spine: list[int] = []
-    for bv in b_wit.embedding.spine:
-        block = g_emb.spine if b_wit.coloring[bv] == 0 else tuple(reversed(g_emb.spine))
+    for bv in b_emb.spine:
+        block = g_emb.spine if coloring[bv] == 0 else tuple(reversed(g_emb.spine))
         spine.extend(bv * ng + x for x in block)
 
     base = g_emb.page_count
@@ -157,12 +125,12 @@ def product_embedding(g_emb: BookEmbedding, b_wit: DispersableWitness) -> BookEm
     for (u, v), pg in zip(gg.edges, g_emb.pages):
         for bv in range(bb.n):
             page_of[(bv * ng + u, bv * ng + v)] = pg
-    for (b1, b2), pc in zip(bb.edges, b_wit.embedding.pages):
+    for (b1, b2), pc in zip(bb.edges, b_emb.pages):
         for x in range(ng):
             page_of[(b1 * ng + x, b2 * ng + x)] = base + pc
 
     pages = tuple(page_of[e] for e in prod.edges)
-    return BookEmbedding(prod, tuple(spine), pages, base + b_wit.embedding.page_count)
+    return BookEmbedding(prod, spine, pages, base + b_emb.page_count)
 
 
 # direct scheme for a complete graph stacked over an odd cycle
@@ -206,22 +174,21 @@ def kpcq_embedding(p: int, q: int) -> ConstructionOutcome:
     return construct(kpcq(p, q), "auto")
 
 
-def witness_for(b: Graph, opts: SolveOptions | None = None) -> DispersableWitness | None:
+def witness_for(b: Graph, opts: SolveOptions | None = None) -> BookEmbedding | None:
     """Dispersable witness for b: its ``auto`` embedding, when that has
-    max-degree pages, with b's 2-colouring.
+    max-degree pages. The product orients its blocks by b's bipartition.
 
     Returns None when b is not bipartite or no max-degree embedding was
     found, since only dispersable bipartite graphs can play the second
     factor of the product construction.
     """
-    part = bipartition(b)
-    if not part.is_bipartite:
+    if not bipartition(b).is_bipartite:
         return None
     try:
         emb = auto_embedding(b, opts).embedding
     except ConstructionUnresolved:
         return None
-    return DispersableWitness(emb, part.coloring) if emb.page_count == max_degree(b) else None
+    return emb if emb.page_count == max_degree(b) else None
 
 
 def _product(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
@@ -272,9 +239,9 @@ SCHEMES = {
     SCHEME_COMPLETE: (_family("complete"), lambda g, opts: complete_embedding(g.family[1])),
     SCHEME_EVEN_CYCLE: (
         _family("cycle", lambda q: q % 2 == 0),
-        lambda g, opts: even_cycle_embedding(g.family[1] // 2).embedding,
+        lambda g, opts: even_cycle_embedding(g.family[1] // 2),
     ),
-    SCHEME_PATH: (_family("path", lambda n: n >= 2), lambda g, opts: path_witness(g.family[1]).embedding),
+    SCHEME_PATH: (_family("path", lambda n: n >= 2), lambda g, opts: path_witness(g.family[1])),
     SCHEME_KPCQ_ODD: (_family("kpcq", lambda p, q: q % 2 == 1), _kpcq_odd),
     SCHEME_KPCQ_EVEN: (_family("kpcq", lambda p, q: q % 2 == 0), _kpcq_even),
     SCHEME_PRODUCT: (_family("product"), _product),

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .graphs import FAMILIES, Graph, cartesian_product, n_left, product_labels
-from .layout import BookEmbedding, MalformedEmbeddingError, check_structure
+from .layout import BookEmbedding, MalformedEmbeddingError, check_structure, is_int
 
 
 MAX_PRODUCT_DEPTH = 64
@@ -30,11 +30,6 @@ MAX_PRODUCT_DEPTH = 64
 
 class FormatError(ValueError):
     """Input document violates the canonical file format."""
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; ``true`` and ``false`` parse to bool, an int subclass."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _family_to_json(fam: tuple | None):
@@ -87,7 +82,7 @@ def _family_from_json(doc, depth: int) -> tuple | None:
     if not isinstance(kind, str) or kind not in FAMILIES:
         raise FormatError(f"unknown family kind {kind!r}")
     args = doc.get("args", [])
-    if not (isinstance(args, list) and all(_is_int(a) for a in args)):
+    if not (isinstance(args, list) and all(is_int(a) for a in args)):
         raise FormatError("family args must be integers")
     return (kind, *args)
 
@@ -114,14 +109,14 @@ def parse_graph_dict(doc, depth: int = 0) -> Graph:
     if not isinstance(doc, dict):
         raise FormatError("graph document must be a JSON object")
     n = doc.get("n")
-    if not _is_int(n) or n < 0:
+    if not is_int(n) or n < 0:
         raise FormatError("field 'n' must be a nonnegative integer")
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise FormatError("field 'edges' must be a list of pairs")
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(is_int(x) for x in e)):
             raise FormatError(f"edge entry {e!r} is not a pair of integers")
         pairs.append((e[0], e[1]))
     name = doc.get("name", "G")
@@ -159,10 +154,10 @@ def parse_embedding_dict(doc) -> EmbeddingDocument:
     g = parse_graph_dict(doc.get("graph"))
     spine, pages = doc.get("spine"), doc.get("pages")
     for key, value in (("spine", spine), ("pages", pages)):
-        if not (isinstance(value, list) and all(_is_int(x) for x in value)):
+        if not (isinstance(value, list) and all(is_int(x) for x in value)):
             raise FormatError(f"field '{key}' must be a list of integers")
     page_count = doc.get("page_count")
-    if not _is_int(page_count):
+    if not is_int(page_count):
         raise FormatError("field 'page_count' must be an integer")
     scheme = doc.get("scheme")
     if scheme is not None and not isinstance(scheme, str):

@@ -30,6 +30,7 @@ __all__ = [
     "check_structure",
     "crossings",
     "incidence",
+    "is_int",
     "straddling",
     "validate",
 ]
@@ -76,9 +77,18 @@ class ValidationReport(NamedTuple):
     violations: tuple[Crossing | MatchingViolation, ...]
 
 
+def is_int(x) -> bool:
+    """An integer and not a bool; JSON ``true`` and ``false`` parse to bool,
+    an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_structure(emb: BookEmbedding) -> None:
-    """Raise MalformedEmbeddingError unless the embedding is well formed."""
+    """Raise MalformedEmbeddingError unless the embedding is well formed;
+    entry types come first, so no later comparison meets a str or float."""
     g = emb.graph
+    if not all(map(is_int, (*emb.spine, *emb.pages, emb.page_count))):
+        raise MalformedEmbeddingError("spine, pages and page_count must hold integers only")
     if len(emb.spine) != g.n or sorted(emb.spine) != list(range(g.n)):
         raise MalformedEmbeddingError("spine is not a permutation of 0..n-1")
     if len(emb.pages) != g.m:
@@ -87,7 +97,7 @@ def check_structure(emb: BookEmbedding) -> None:
         )
     expected = max(emb.pages) + 1 if emb.pages else 0
     for p in emb.pages:
-        if not isinstance(p, int) or not 0 <= p < emb.page_count:
+        if not 0 <= p < emb.page_count:
             raise MalformedEmbeddingError(f"page index {p!r} out of range 0..{emb.page_count - 1}")
     if emb.page_count != expected:
         raise MalformedEmbeddingError(

@@ -84,7 +84,7 @@ def test_criterion_3_product_sweep():
     for gname, g_emb in g_embs.items():
         for bname, wit in witnesses.items():
             prod = product_embedding(g_emb, wit)
-            want = g_emb.page_count + max_degree(wit.embedding.graph)
+            want = g_emb.page_count + max_degree(wit.graph)
             assert prod.page_count == want, (gname, bname)
             assert validate(prod).valid, (gname, bname)
             count += 1

@@ -271,7 +271,7 @@ def test_solve_prints_the_overfull_vertex_set(capsys, tmp_path):
         "odd_cycle": None, "overfull": [0, 1, 2, 3, 4], "chromatic_index": 5,
     }
     assert list(res["stats"]) == [
-        "orders_tested", "nodes", "elapsed_s", "per_level", "timed_out", "kernel_calls",
+        "orders_tested", "nodes", "per_level", "timed_out", "kernel_calls",
         "clique_refuted", "clique_steps", "parity_refuted", "repaired",
     ]
     # the key is null under every other reason, and the exit codes stay

@@ -6,13 +6,11 @@ from matchbook import constructions as cons
 from matchbook.constructions import (
     ConstructionError,
     ConstructionUnresolved,
-    DispersableWitness,
     auto_embedding,
     complete_embedding,
     construct,
     even_cycle_embedding,
     kpcq_embedding,
-    make_witness,
     path_witness,
     product_embedding,
     witness_for,
@@ -71,34 +69,34 @@ def test_complete_embedding_pages_are_congruence_matchings(p):
 
 def test_even_cycle_witness():
     w = even_cycle_embedding(2)
-    assert w.embedding.page_count == 2 and validate(w.embedding).valid
-    assert w.coloring == (0, 1, 0, 1)
+    assert w.page_count == 2 and validate(w).valid
+    # a product's blocks alternate forward and reversed around the cycle
+    assert product_embedding(complete_embedding(2), w).spine == (0, 1, 3, 2, 4, 5, 7, 6)
 
     w6 = even_cycle_embedding(3)
-    assert validate(w6.embedding).valid
-    page1 = {e for e, p in zip(w6.embedding.graph.edges, w6.embedding.pages) if p == 1}
+    assert validate(w6).valid
+    page1 = {e for e, p in zip(w6.graph.edges, w6.pages) if p == 1}
     assert page1 == {(1, 2), (3, 4), (0, 5)}
     with pytest.raises(ValueError):
         even_cycle_embedding(1)
 
 
 def test_path_witness():
-    assert path_witness(3).embedding.page_count == 2
-    assert path_witness(2).embedding.page_count == 1
+    assert path_witness(3).page_count == 2
+    assert path_witness(2).page_count == 1
     w5 = path_witness(5)
-    assert validate(w5.embedding).valid
-    assert w5.embedding.pages == (0, 1, 0, 1)
+    assert validate(w5).valid
+    assert w5.pages == (0, 1, 0, 1)
     with pytest.raises(ValueError):
         path_witness(1)
 
 
-def test_make_witness_rejects_bad_inputs():
-    good = even_cycle_embedding(2)
-    with pytest.raises(ValueError, match="proper 2-coloring"):
-        make_witness(good.embedding, (0, 0, 1, 1))
+def test_product_embedding_rejects_a_bad_right_factor():
     with pytest.raises(ValueError, match="pages"):
         bad = BookEmbedding(cycle(4), (0, 1, 2, 3), (0, 1, 1, 2), 3)
-        make_witness(bad, (0, 1, 0, 1))
+        product_embedding(complete_embedding(3), bad)
+    with pytest.raises(ValueError, match="not bipartite"):
+        product_embedding(complete_embedding(3), exact_mbt(cycle(5)).witness)
 
 
 def test_product_k4_c4():
@@ -117,7 +115,7 @@ def test_product_identity_factor():
     w = even_cycle_embedding(2)
     emb = product_embedding(complete_embedding(1), w)
     assert emb.graph == cycle(4)
-    assert emb.spine == w.embedding.spine and emb.pages == w.embedding.pages
+    assert emb.spine == w.spine and emb.pages == w.pages
 
 
 def test_product_page_partition():
@@ -143,8 +141,8 @@ def test_product_rejects_invalid_inputs():
     broken = BookEmbedding(complete(3), (0, 1, 2), (0, 0, 0), 1)
     with pytest.raises(ValueError, match="left embedding"):
         product_embedding(broken, path_witness(3))
-    with pytest.raises(ValueError):
-        product_embedding(complete_embedding(3), DispersableWitness(broken, (0, 1, 0)))
+    with pytest.raises(ValueError, match="right embedding"):
+        product_embedding(complete_embedding(3), broken)
 
 
 def test_kpcq_direct_cases():
@@ -242,10 +240,10 @@ def test_construct_keeps_the_page_cap():
 
 
 def test_witness_for():
-    assert witness_for(cycle(6)).embedding.page_count == 2
-    assert witness_for(path(3)).embedding.page_count == 2
+    assert witness_for(cycle(6)).page_count == 2
+    assert witness_for(path(3)).page_count == 2
     w = witness_for(complete_bipartite(3, 3))
-    assert w is not None and w.embedding.page_count == 3
+    assert w is not None and w.page_count == 3
     assert witness_for(cycle(5)) is None  # odd cycle is not bipartite
 
 
@@ -256,9 +254,8 @@ def test_witness_for_a_bipartite_product_takes_the_product_scheme(monkeypatch):
     monkeypatch.setattr("matchbook.solver.exact_mbt", no_solver)
     b = cartesian_product(cycle(4), path(3))
     w = witness_for(b)
-    assert w is not None and w.embedding.page_count == max_degree(b) == 4
-    assert w.embedding.graph == b and validate(w.embedding).valid
-    assert all(w.coloring[u] != w.coloring[v] for u, v in b.edges)
+    assert w is not None and w.page_count == max_degree(b) == 4
+    assert w.graph == b and validate(w).valid
 
 
 def test_auto_embedding_routes():
@@ -285,7 +282,7 @@ def test_every_outcome_page_count_is_tight():
     # claimed bounds: p pages for complete graphs, 2 for even cycles,
     # pages(G) + max_degree(B) for products, max degree + 1 for the grid
     assert complete_embedding(7).page_count == 7
-    assert even_cycle_embedding(4).embedding.page_count == 2
+    assert even_cycle_embedding(4).page_count == 2
     prod = product_embedding(complete_embedding(5), even_cycle_embedding(3))
     assert prod.page_count == 5 + 2
     assert kpcq_embedding(7, 7).embedding.page_count == 9

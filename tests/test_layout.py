@@ -125,6 +125,22 @@ def test_malformed_embeddings():
         validate(BookEmbedding(g, (0, 1, 2), (0, 1, 2), 4))
 
 
+@pytest.mark.parametrize(
+    "spine, pages, page_count",
+    [
+        ((0, 1, 2), (0, 1, "a"), 3),
+        ((0, 1, 2), (0, 1, None), 3),
+        ((0, 1, "a"), (0, 1, 2), 3),
+        ((0, 1, 2.0), (0, 1, 2), 3),
+        ((0, 1, 2), (0, 1, 2), 3.0),
+    ],
+)
+def test_non_integer_entries_are_malformed(spine, pages, page_count):
+    # checked before any comparison or index could raise a TypeError
+    with pytest.raises(MalformedEmbeddingError, match="integers"):
+        validate(BookEmbedding(cycle(3), spine, pages, page_count))
+
+
 def test_rotate_identity_and_reflect_involution():
     emb = complete_embedding(4)
     assert rotate_spine(emb, 0) == emb

@@ -13,7 +13,7 @@ def test_render_counts_kpcq():
 
 
 def test_render_counts_c4():
-    emb = even_cycle_embedding(2).embedding
+    emb = even_cycle_embedding(2)
     svg = render_svg(emb)
     assert svg.count('<circle class="vx"') == 4
     assert svg.count('class="arc"') == 4
@@ -35,7 +35,7 @@ def test_render_highlights_violations():
 
 
 def test_render_split_pages():
-    emb = even_cycle_embedding(2).embedding
+    emb = even_cycle_embedding(2)
     svg = render_svg(emb, split_pages=True)
     # one spine copy per page band
     assert svg.count('<circle class="vx"') == 8

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run to completion on small inputs, the
-bench tracer still finds every function it wraps, and the bench corpus's
-pinned answers still hold."""
+bench tracer still finds every function it wraps, the bench corpus's
+pinned answers still hold, and the cli-small workload checks out traced
+and untraced."""
 
 import importlib
 import importlib.util
@@ -60,10 +61,8 @@ def test_bench_tracer_wraps_every_traced_name_and_restores():
     assert tracer.layer_metrics(t.spans)["solver.calls"] >= 3
 
 
-def test_bench_corpus_pins_hold_on_the_committed_labelling():
-    # perfbench/run.py checks every solve against the value, exhaustiveness,
-    # bound, bound reason and refuted orders pinned in perfbench/corpus.json;
-    # a change that moves a pin fails here before the benchmark runs
+def load_bench_run():
+    """perfbench/run.py as a module, leaving sys.path as it was."""
     path = list(sys.path)
     try:
         spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
@@ -71,6 +70,14 @@ def test_bench_corpus_pins_hold_on_the_committed_labelling():
         spec.loader.exec_module(run)
     finally:
         sys.path[:] = path
+    return run
+
+
+def test_bench_corpus_pins_hold_on_the_committed_labelling():
+    # perfbench/run.py checks every solve against the value, exhaustiveness,
+    # bound, bound reason and refuted orders pinned in perfbench/corpus.json;
+    # a change that moves a pin fails here before the benchmark runs
+    run = load_bench_run()
     corpus = json.loads((ROOT / "perfbench" / "corpus.json").read_text())
     entries = [e for workload in corpus.values() for e in workload]
     assert len(entries) == 19
@@ -90,3 +97,19 @@ def test_cli_identity_names_the_keys_that_differ():
     assert ident.differing_keys(base, {**base, "extra": None}) == ["extra"]
     assert ident.differing_keys([1], [2]) == ["the whole document"]
     assert ident.at_keys(base, head) == " at stats.nodes, stats.parity_refuted"
+
+
+def test_bench_cli_small_checks_out_traced_and_untraced(tmp_path, monkeypatch):
+    # an untraced cli-small pass runs `python -m matchbook` per command; a
+    # traced one runs every command in one perfbench/child.py process, with
+    # stdout redirected and the tracer's wraps installed. Both must pass
+    # their checks, give the same counters, and trace the same layer counts
+    monkeypatch.chdir(ROOT)  # run.py takes its checkout from the working directory
+    run = load_bench_run()
+    wl = run.WORKLOADS["cli-small"]()
+    wl.setup(7, tmp_path)
+    passes = [wl.run_pass(0), *(wl.run_pass(0, tracer=run.Tracer(), jobs=1) for _ in range(2))]
+    assert [p["failures"] for p in passes] == [{}, {}, {}]
+    assert passes[0]["counters"] == passes[1]["counters"] == passes[2]["counters"]
+    traced = [{k: run.layer_metrics(p["spans"])[k] for k in run.TRACE_COUNTERS} for p in passes[1:]]
+    assert traced[0] == traced[1]
