@@ -83,8 +83,9 @@ def color_graph(
     indices are interchangeable, so at most one fresh colour is branched
     per step, and used colours always form the prefix 0..u-1. Returns
     FOUND with an assignment, INFEASIBLE after a complete search, or
-    UNKNOWN once the node budget runs out or, checked every 1,024 nodes,
-    the ``time.monotonic()`` deadline has passed.
+    UNKNOWN as soon as the node count passes the budget (so with budget + 1
+    nodes) or, checked every 1,024 nodes, the ``time.monotonic()``
+    deadline has passed.
 
     The search state is a handful of bitmasks over the vertices, so a
     step's cost does not grow with the vertex count beyond the width of
@@ -97,13 +98,13 @@ def color_graph(
     ties go to the highest degree class, then to the lowest index.
     Colouring and undoing a vertex are O(log k) mask operations. The search
     keeps its own stack, so its depth (up to the vertex count) is not
-    bounded by Python's recursion limit.
+    bounded by Python's recursion limit. It holds one frame per vertex on
+    the path: [vertex, colours still to try, colour held, vertices that
+    colour newly reached, colours in use before it]. Every frame but a
+    just-pushed one holds its colour, and a dead end undoes frames down to
+    the first with a colour left to try.
     """
     m = len(masks)
-    if m == 0:
-        return ColoringOutcome(FOUND, ())
-    if k <= 0:
-        return ColoringOutcome(INFEASIBLE)
     classes: dict[int, int] = {}
     for v, mask in enumerate(masks):
         d = mask.bit_count()
@@ -116,45 +117,35 @@ def color_graph(
     free = (1 << m) - 1
     used = 0
     nodes = 0
-    # One frame per coloured vertex: [vertex, colours still to try, status
-    # so far, colour held, vertices that colour newly reached, colours in
-    # use before it]. ``result`` carries a finished child's status up to
-    # the frame below it, whose vertex holds the colour that child was
-    # searched under.
     stack: list[list] = []
-    result = None
     while True:
-        if result is None:
-            if not free:
-                colors = [0] * m
-                for frame in stack:
-                    colors[frame[0]] = frame[3]
-                return ColoringOutcome(FOUND, tuple(colors), nodes)
-            cand = free
-            for i in top_down:
-                hit = cand & planes[i]
-                if hit:
-                    cand = hit
-            for cls in by_degree:
-                hit = cand & cls
-                if hit:
-                    break
-            low = hit & -hit
-            avail = 0
-            for c in range(used):
-                if not near[c] & low:
-                    avail |= 1 << c
-            if used < k:
-                avail |= 1 << used
-            if avail:
-                stack.append([low.bit_length() - 1, avail, INFEASIBLE, 0, 0, used])
-            else:
-                result = INFEASIBLE
-        if result is not None:
+        if not free:
+            colors = [0] * m
+            for frame in stack:
+                colors[frame[0]] = frame[2]
+            return ColoringOutcome(FOUND, tuple(colors), nodes)
+        cand = free
+        for i in top_down:
+            hit = cand & planes[i]
+            if hit:
+                cand = hit
+        for cls in by_degree:
+            hit = cand & cls
+            if hit:
+                break
+        low = hit & -hit
+        avail = 0
+        for c in range(used):
+            if not near[c] & low:
+                avail |= 1 << c
+        if used < k:
+            avail |= 1 << used
+        if avail:
+            stack.append([low.bit_length() - 1, avail, 0, 0, used])
+        while not avail:
             if not stack:
-                return ColoringOutcome(result, None, nodes)
-            frame = stack[-1]
-            v, c, added, used = frame[0], frame[3], frame[4], frame[5]
+                return ColoringOutcome(INFEASIBLE, None, nodes)
+            v, avail, c, added, used = stack[-1]
             free |= 1 << v
             near[c] ^= added
             for i in bits:
@@ -163,30 +154,21 @@ def color_graph(
                 added &= ~plane
                 if not added:
                     break
-            if result == UNKNOWN:
-                frame[2] = UNKNOWN
-        frame = stack[-1]
-        avail = frame[1]
-        if not avail:
-            stack.pop()
-            result = frame[2]
-            continue
+            if not avail:
+                stack.pop()
         nodes += 1
-        if nodes > node_budget:
-            stack.pop()
-            result = UNKNOWN
-            continue
-        if not nodes & 1023 and deadline is not None and time.monotonic() > deadline:
+        if nodes > node_budget or not nodes & 1023 and deadline is not None and time.monotonic() > deadline:
             return ColoringOutcome(UNKNOWN, None, nodes)
+        frame = stack[-1]
         bit = avail & -avail
         c = bit.bit_length() - 1
         v = frame[0]
         frame[1] = avail ^ bit
-        frame[3] = c
+        frame[2] = c
         free ^= 1 << v
         added = masks[v] & ~near[c]
         near[c] |= added
-        frame[4] = added
+        frame[3] = added
         for i in bits:
             plane = planes[i]
             planes[i] = plane ^ added
@@ -195,7 +177,6 @@ def color_graph(
                 break
         if c == used:
             used += 1
-        result = None
 
 
 def _require_spine(g: Graph, spine) -> tuple[int, ...]:
@@ -270,8 +251,6 @@ def edge_chromatic_exact(g: Graph, node_budget: int = DEFAULT_CHI_NODES) -> Edge
     """
     if g.m > 80:
         return None
-    if g.m == 0:
-        return EdgeColoringResult(0, (), 0)
     masks = endpoint_conflict_masks(g)
     total = 0
     for k in range(max(max_degree(g), overfull_bound(g)[0]), g.m + 1):
@@ -307,8 +286,8 @@ def lower_bound(g: Graph) -> BoundCertificate:
     """
     if not is_connected(g):
         raise ValueError("lower_bound requires a connected graph")
-    d, reg, part = max_degree(g), is_regular(g), bipartition(g)
-    if reg is not None and not part.is_bipartite:
+    d, reg = max_degree(g), is_regular(g)
+    if reg is not None and not (part := bipartition(g)).is_bipartite:
         return BoundCertificate(d + 1, "regular-nonbipartite", d, regular_degree=reg, odd_cycle=part.odd_cycle)
     count, hood = overfull_bound(g)
     if count > d:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import matchbook
@@ -97,6 +98,28 @@ def test_cli_identity_names_the_keys_that_differ():
     assert ident.differing_keys(base, {**base, "extra": None}) == ["extra"]
     assert ident.differing_keys([1], [2]) == ["the whole document"]
     assert ident.at_keys(base, head) == " at stats.nodes, stats.parity_refuted"
+
+
+def test_solver_identity_names_the_keys_that_differ(tmp_path, monkeypatch):
+    # both sides load this tree under their own package names; a head with
+    # page parity off refutes K6-e's prefixes by cliques instead, and only
+    # the counters of the solves that scan level 5 to its end differ
+    spec = importlib.util.spec_from_file_location("solver_identity", ROOT / "scripts" / "solver_identity.py")
+    ident = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ident)
+    src = str(Path(matchbook.__file__).parent.parent)
+    base, head = (ident.Tree(src, f"matchbook_identity_{side}", str(tmp_path)) for side in ("base", "head"))
+    graphs = [("C5", 5, cycle(5).edges), ("K6-e", 6, tuple(e for e in combinations(range(6), 2) if e != (0, 1)))]
+    lines, differ = ident.identity(base, head, graphs)
+    assert differ == 0 and lines[-1] == "32 solves of 2 graphs, 0 differ"
+    monkeypatch.setattr(head.solver._PrefixSearch, "parity", lambda self, d, v: False)
+    lines, differ = ident.identity(base, head, graphs)
+    counts = {"stats.clique_refuted": 6, "stats.clique_steps": 6, "stats.parity_refuted": 6}
+    keys = ["bound", "exhaustive", "stats.clique_refuted", "stats.clique_steps", "stats.kernel_calls", "stats.nodes",
+            "stats.orders_tested", "stats.parity_refuted", "stats.per_level", "stats.timed_out", "value", "witness"]
+    assert lines[:12] == [f"{key}: {counts.get(key, 0)} of 32 solves differ" for key in keys]
+    assert lines[12] == "  K6-e symmetry=True max_pages=None timeout=None: " + ", ".join(counts)
+    assert (lines[-1], differ) == ("32 solves of 2 graphs, 6 differ", 6)
 
 
 def test_bench_cli_small_checks_out_traced_and_untraced(tmp_path, monkeypatch):

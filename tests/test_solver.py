@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from matchbook import solver
 from matchbook.graphs import (
     Graph,
+    bipartition,
     complete,
     complete_bipartite,
     cycle,
@@ -384,7 +385,6 @@ def recursive_color_graph(masks, k, node_budget=DEFAULT_ORDER_NODES):
         if not avail:
             return INFEASIBLE
         used = state["used"]
-        out = INFEASIBLE
         for c in range(used + 1 if used < k else k):
             if not avail >> c & 1:
                 continue
@@ -403,8 +403,8 @@ def recursive_color_graph(masks, k, node_budget=DEFAULT_ORDER_NODES):
             if r == FOUND:
                 return FOUND
             if r == UNKNOWN:
-                out = UNKNOWN
-        return out
+                return UNKNOWN
+        return INFEASIBLE
 
     status = search()
     return status, found[0], state["nodes"]
@@ -455,6 +455,25 @@ def test_color_graph_stops_at_deadline():
     assert color_graph(masks, 9, DEFAULT_ORDER_NODES, time.monotonic() - 1).status == FOUND
 
 
+@pytest.mark.parametrize(
+    "masks,k,budget,expected",
+    [
+        # K9-e is not 8-edge-colourable: a call out of nodes stops at once,
+        # counting no node for the colours its ancestors had left to try
+        (endpoint_conflict_masks(delete_edge(complete(9), (0, 1))), 8, 10, (UNKNOWN, None, 11)),
+        (endpoint_conflict_masks(delete_edge(complete(9), (0, 1))), 8, 1_000, (UNKNOWN, None, 1001)),
+        # no vertices, or no colours, end the loop before its first node
+        ([], 0, DEFAULT_ORDER_NODES, (FOUND, (), 0)),
+        ([], 3, DEFAULT_ORDER_NODES, (FOUND, (), 0)),
+        ([0], 0, DEFAULT_ORDER_NODES, (INFEASIBLE, None, 0)),
+        ([0], -1, DEFAULT_ORDER_NODES, (INFEASIBLE, None, 0)),
+    ],
+    ids=["k9e-budget-10", "k9e-budget-1000", "empty-k0", "empty-k3", "one-k0", "one-k-1"],
+)
+def test_color_graph_stops_at_its_budget(masks, k, budget, expected):
+    assert tuple(color_graph(masks, k, budget)) == expected
+
+
 def test_the_counted_bound_leaves_the_timeout_to_the_scan():
     # lower_bound runs no search, so the bound of K9-e+path costs no part
     # of the timeout, and the scan answers at it
@@ -485,6 +504,16 @@ def test_lower_bound_runs_no_colouring_search(monkeypatch):
     monkeypatch.setattr(solver, "color_graph", refuse)
     for g in (K9E_PATH, PETERSEN_V, complete(9), delete_edge(complete(7), (0, 1)), kpcq(3, 3)):
         lower_bound(g)
+
+
+def test_lower_bound_runs_bipartition_only_on_a_regular_graph(monkeypatch):
+    # only the regular-nonbipartite certificate reads the odd cycle
+    calls = []
+    monkeypatch.setattr(solver, "bipartition", lambda g: calls.append(g) or bipartition(g))
+    assert lower_bound(path(5)).reason == "max-degree"
+    assert calls == []
+    assert lower_bound(cycle(5)).reason == "regular-nonbipartite"
+    assert len(calls) == 1
 
 
 def test_petersen_less_a_vertex_is_the_one_bound_that_counting_lowers():
