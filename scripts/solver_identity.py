@@ -8,8 +8,8 @@ so both run in this one process on the same inputs.
 
 Identity mode (the default) solves:
   - the 19 graphs of perfbench/corpus.json on their committed labels;
-  - the solve-find labellings that perfbench/run.py draws for seeds 1-3 in
-    the passes of a 20 s run, each distinct labelled graph once;
+  - every labelling in the corpus's labelling pools, from which the
+    solve-find workload draws its inputs, each distinct labelled graph once;
   - K3 x C51;
   - RANDOM_GRAPHS seeded random connected graphs with n = 3-9.
 Each graph runs with symmetry on and off, max_pages None, b-1, b and b+1
@@ -20,17 +20,17 @@ It also compares the kernel's status, colouring and node count on the
 identity spines of K10 x C11 at k = 12 and K12 x C13 at k = 14. It exits 1
 when anything differs.
 
---ab runs --reps alternating reps of three workloads under each tree,
-timed by time.process_time: the solve-refute corpus, the solve-find
-labellings above (every draw, as the benchmark runs them), and the kernel
-on K12 x C13's identity spine at k = 14. Per workload it prints each
+--ab runs REPS alternating reps of three workloads under each tree,
+timed by time.process_time: the solve-refute corpus on its committed
+labels, every solve-find labelling in the pools, and the kernel on
+K12 x C13's identity spine at k = 14. Per workload it prints each
 tree's median and quartiles, the median of the per-rep head/base ratios,
 and in how many reps the head took less time.
 
 The script reads perfbench/corpus.json and changes nothing under perfbench/.
 
 Usage:
-  python3 scripts/solver_identity.py --base OLD/src --head src [--ab [--reps N]]
+  python3 scripts/solver_identity.py --base OLD/src --head src [--ab]
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ from itertools import combinations
 from pathlib import Path
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.json"
-FIND_SEEDS = (1, 2, 3)
-FIND_PASSES = 7  # solve-find passes in a 20 s run of perfbench/run.py
 RANDOM_GRAPHS, RANDOM_SEED = 300, 3409
 SHOWN = 10  # differing solves listed by name
+REPS = 11  # alternating reps per workload with --ab
 KERNEL_SPINES = ((10, 11, 12), (12, 13, 14))  # (p, q, k): K_p x C_q's identity spine at k pages
 MISSING = object()  # a key one record lacks
 
@@ -89,17 +88,11 @@ def relabelled(e: dict, perm) -> tuple:
     return tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in e["edges"]))
 
 
-def find_draws() -> list[tuple[str, int, tuple]]:
-    """(name, n, edges) of every solve-find task that perfbench/run.py runs
-    for FIND_SEEDS in FIND_PASSES passes, drawn as its ``Solve.inputs``."""
-    entries = corpus()["solve-find"]
-    out = []
-    for seed in FIND_SEEDS:
-        for i in range(FIND_PASSES):
-            rng = random.Random(f"solve-find:{seed}:{i}")
-            for e in entries:
-                out.append((f"{e['name']}@{seed}:{i}", e["n"], relabelled(e, rng.choice(e["labellings"]))))
-    return out
+def labellings() -> list[tuple[str, int, tuple]]:
+    """(name, n, edges) of every labelling in the corpus's labelling pools:
+    every input the bench draws for a workload with a pool."""
+    return [(f"{e['name']}#{j}", e["n"], relabelled(e, perm))
+            for es in corpus().values() for e in es for j, perm in enumerate(e.get("labellings", ()))]
 
 
 def random_graphs(count: int) -> list[tuple[str, int, tuple]]:
@@ -118,7 +111,7 @@ def random_graphs(count: int) -> list[tuple[str, int, tuple]]:
 def identity_graphs(base: Tree) -> list[tuple[str, int, tuple]]:
     out = [(e["name"], e["n"], relabelled(e, range(e["n"]))) for es in corpus().values() for e in es]
     seen = {edges for _, _, edges in out}
-    for name, n, edges in find_draws():
+    for name, n, edges in labellings():
         if edges not in seen:
             seen.add(edges)
             out.append((name, n, edges))
@@ -193,13 +186,13 @@ def spread(times: list[float]) -> str:
     return f"median {median:.4f} s (quartiles {q1:.4f}-{q3:.4f})"
 
 
-def ab(base: Tree, head: Tree, reps: int) -> list[str]:
-    """One line per workload: each tree's CPU time over ``reps`` reps,
+def ab(base: Tree, head: Tree) -> list[str]:
+    """One line per workload: each tree's CPU time over REPS reps,
     alternating which tree runs first, the median head/base ratio of a
     rep, and the reps in which the head took less time."""
     entries = corpus()["solve-refute"]
     refute = [(e["n"], relabelled(e, range(e["n"]))) for e in entries]
-    find = [(n, edges) for _, n, edges in find_draws()]
+    find = [(n, edges) for _, n, edges in labellings()]
     p, q, k = KERNEL_SPINES[-1]
     trees = {"base": base, "head": head}
     masks = {side: tree.kernel_masks(p, q) for side, tree in trees.items()}
@@ -216,7 +209,7 @@ def ab(base: Tree, head: Tree, reps: int) -> list[str]:
     lines = []
     for name, work in workloads.items():
         times: dict[str, list[float]] = {"base": [], "head": []}
-        for rep in range(reps):
+        for rep in range(REPS):
             for side in ("base", "head") if rep % 2 == 0 else ("head", "base"):
                 t = time.process_time()
                 work(side)
@@ -224,7 +217,7 @@ def ab(base: Tree, head: Tree, reps: int) -> list[str]:
         ratios = [h / b for h, b in zip(times["head"], times["base"])]
         wins = sum(h < b for h, b in zip(times["head"], times["base"]))
         lines.append(f"{name}: base {spread(times['base'])}, head {spread(times['head'])};"
-                     f" median ratio {statistics.median(ratios):.3f}, head lower in {wins} of {reps}")
+                     f" median ratio {statistics.median(ratios):.3f}, head lower in {wins} of {REPS}")
     return lines
 
 
@@ -233,10 +226,7 @@ def main() -> int:
     ap.add_argument("--base", required=True, help="source tree of one side (the directory holding matchbook/)")
     ap.add_argument("--head", required=True, help="source tree of the other side")
     ap.add_argument("--ab", action="store_true", help="time the two trees instead of comparing their results")
-    ap.add_argument("--reps", type=int, default=11, help="alternating reps per workload with --ab (default 11)")
     args = ap.parse_args()
-    if args.reps < 2:
-        ap.error("--reps must be at least 2, for quartiles")
     for src in (args.base, args.head):
         if not (Path(src) / "matchbook").is_dir():
             ap.error(f"{src} holds no matchbook package")
@@ -244,7 +234,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base, head = Tree(args.base, "matchbook_base", tmp), Tree(args.head, "matchbook_head", tmp)
         if args.ab:
-            for line in ab(base, head, args.reps):
+            for line in ab(base, head):
                 print(line, flush=True)
             return 0
         kernel_lines, kernel_differ = kernel_identity(base, head)

@@ -100,7 +100,7 @@ def test_cli_identity_names_the_keys_that_differ():
     assert ident.at_keys(base, head) == " at stats.nodes, stats.parity_refuted"
 
 
-def test_solver_identity_names_the_keys_that_differ(tmp_path, monkeypatch):
+def test_solver_identity_names_the_keys_that_differ(tmp_path, monkeypatch, request):
     # both sides load this tree under their own package names; a head with
     # page parity off refutes K6-e's prefixes by cliques instead, and only
     # the counters of the solves that scan level 5 to its end differ
@@ -108,7 +108,14 @@ def test_solver_identity_names_the_keys_that_differ(tmp_path, monkeypatch):
     ident = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ident)
     src = str(Path(matchbook.__file__).parent.parent)
-    base, head = (ident.Tree(src, f"matchbook_identity_{side}", str(tmp_path)) for side in ("base", "head"))
+    names = ("matchbook_identity_base", "matchbook_identity_head")
+
+    def forget():  # the two copies leave sys.modules when this test ends
+        for name in [m for m in sys.modules if m.partition(".")[0] in names]:
+            del sys.modules[name]
+
+    request.addfinalizer(forget)
+    base, head = (ident.Tree(src, name, str(tmp_path)) for name in names)
     graphs = [("C5", 5, cycle(5).edges), ("K6-e", 6, tuple(e for e in combinations(range(6), 2) if e != (0, 1)))]
     lines, differ = ident.identity(base, head, graphs)
     assert differ == 0 and lines[-1] == "32 solves of 2 graphs, 0 differ"
