@@ -9,8 +9,9 @@ every file in the work directory at the end (parsed when it is JSON, byte
 for byte otherwise, as for SVG). A solve's `stats.elapsed_s`, a wall
 time that older trees print, is left out. A JSON difference is reported
 with the keys at which the two sides differ, such as
-`stats.clique_refuted`. Standard library only; nothing here imports
-matchbook.
+`stats.clique_refuted`; equal JSON whose objects list their keys in a
+different order is reported with the objects that do, such as
+`lower_bound`. Standard library only; nothing here imports matchbook.
 
 The cases cover gen, embed, verify, solve and render, with and without
 -o, on small K_p x C_q graphs, two products of files (K5 x K3,3, whose
@@ -128,13 +129,28 @@ def parsed(text: str):
     return doc
 
 
+def dotted(at: str, key) -> str:
+    return f"{at}.{key}" if at else str(key)
+
+
 def differing_keys(x, y, at: str = "") -> list[str]:
     """The dotted keys at which two parsed JSON values differ; a key that
     one side lacks differs."""
     if isinstance(x, dict) and isinstance(y, dict):
         return [p for k in sorted(x.keys() | y.keys())
-                for p in differing_keys(x.get(k, MISSING), y.get(k, MISSING), f"{at}.{k}" if at else k)]
+                for p in differing_keys(x.get(k, MISSING), y.get(k, MISSING), dotted(at, k))]
     return [] if x == y else [at or "the whole document"]
+
+
+def reordered_keys(x, y, at: str = "") -> list[str]:
+    """The dotted keys of the objects whose keys two equal parsed JSON
+    values list in different orders; a list item's key is its index."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        here = [at or "the whole document"] if list(x) != list(y) else []
+        return here + [p for k in x for p in reordered_keys(x[k], y[k], dotted(at, k))]
+    if isinstance(x, list) and isinstance(y, list):
+        return [p for i, (a, b) in enumerate(zip(x, y)) for p in reordered_keys(a, b, dotted(at, i))]
+    return []
 
 
 def run_side(src: str, work: Path, argvs: list[list[str]]) -> tuple[list, dict]:
@@ -152,6 +168,16 @@ def run_side(src: str, work: Path, argvs: list[list[str]]) -> tuple[list, dict]:
 
 def at_keys(x, y) -> str:
     return f" at {', '.join(differing_keys(x, y))}" if isinstance(x, dict) and isinstance(y, dict) else ""
+
+
+def difference(what: str, x, y) -> str | None:
+    """How two sides' parsed outputs differ, or None when they agree in
+    value and in key order."""
+    if x != y:
+        return f"{what} differs" + at_keys(x, y)
+    if order := reordered_keys(x, y):
+        return f"{what} key order differs at {', '.join(order)}"
+    return None
 
 
 def main() -> int:
@@ -172,14 +198,14 @@ def main() -> int:
     diffs = []
     for argv, a, b in zip(argvs, base, head):
         for what, x, y in (("exit code", a[0], b[0]), ("stderr", a[1], b[1]), ("stdout", a[2], b[2])):
-            if x != y:
-                diffs.append(f"{' '.join(argv)}: {what} differs" + at_keys(x, y))
+            if line := difference(what, x, y):
+                diffs.append(f"{' '.join(argv)}: {line}")
     for name in sorted(base_files.keys() | head_files.keys()):
         x, y = base_files.get(name), head_files.get(name)
         if x is not None and y is not None and name.endswith(".json"):
             x, y = json.loads(x), json.loads(y)
-        if x != y:
-            diffs.append(f"{name}: file differs" + at_keys(x, y))
+        if line := difference("file", x, y):
+            diffs.append(f"{name}: {line}")
     for line in diffs:
         print(line)
     stdout = [sum(r[3] for r in side) for side in (base, head)]

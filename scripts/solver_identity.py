@@ -13,8 +13,9 @@ Identity mode (the default) solves:
   - K3 x C51;
   - RANDOM_GRAPHS seeded random connected graphs with n = 3-9.
 Each graph runs with symmetry on and off, max_pages None, b-1, b and b+1
-for its counted bound b, and timeouts 0 and None. Every SolveResult field
-and every SolveStats field except elapsed_s is compared, and the script
+for its counted bound b, and timeouts 0 and None. Every SolveResult field,
+every BoundCertificate field by name and every SolveStats field except
+elapsed_s is compared, and the script
 prints, per key, how many solves differ, with the first differing solves.
 It also compares the kernel's status, colouring and node count on the
 identity spines of K10 x C11 at k = 12 and K12 x C13 at k = 14. It exits 1
@@ -120,12 +121,15 @@ def identity_graphs(base: Tree) -> list[tuple[str, int, tuple]]:
 
 
 def record(res) -> dict:
-    """Every SolveResult field, with the stats field split into its
-    counters and elapsed_s left out. A witness's graph becomes its vertex
+    """Every SolveResult field, with the bound split into its fields by
+    name (so a reordering of them is no difference) and the stats into
+    their counters, elapsed_s left out. A witness's graph becomes its vertex
     count and edges, as graphs of two trees never compare equal."""
     out = {}
     for field, value in zip(res._fields, res):
-        if field == "stats":
+        if field == "bound":
+            out.update({f"bound.{f}": v for f, v in value._asdict().items()})
+        elif field == "stats":
             out.update({f"stats.{s}": getattr(value, s) for s in value.__slots__ if s != "elapsed_s"})
         elif field == "witness" and value is not None:
             out[field] = (value.graph.n, value.graph.edges, *value[1:])

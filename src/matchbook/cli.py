@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import formats
 from .graphs import FAMILIES, cartesian_product
-from .layout import Crossing, validate
+from .layout import validate
 from .options import SolveOptions
 
 EXIT_OK = 0
@@ -40,25 +40,6 @@ def _emit(args, text: str, summary: dict) -> None:
         Path(args.output).write_text(text)
         text = formats.dumps({**summary, "output": str(args.output)})
     sys.stdout.write(text)
-
-
-def _report_to_dict(rep) -> dict:
-    items = []
-    for v in rep.violations:
-        if isinstance(v, Crossing):
-            items.append(
-                {"kind": "crossing", "page": v.page, "edges": [list(v.edge_a), list(v.edge_b)]}
-            )
-        else:
-            items.append(
-                {
-                    "kind": "matching",
-                    "page": v.page,
-                    "vertex": v.vertex,
-                    "edges": [list(e) for e in v.edges],
-                }
-            )
-    return {"valid": rep.valid, "page_count": rep.page_count, "violations": items}
 
 
 def _solve_options(args) -> SolveOptions:
@@ -140,7 +121,8 @@ def _cmd_verify(args) -> int:
         _err(args, "embedding references a different graph (canonical forms differ)")
         return EXIT_USAGE
     rep = validate(doc.embedding)
-    sys.stdout.write(formats.dumps(_report_to_dict(rep)))
+    violations = [{"kind": v.kind, **v._asdict()} for v in rep.violations]
+    sys.stdout.write(formats.dumps({**rep._asdict(), "violations": violations}))
     return EXIT_OK if rep.valid else EXIT_UNSOLVED
 
 
@@ -152,31 +134,13 @@ def _cmd_solve(args) -> int:
 
     g = formats.load_graph(args.graph)
     res = solver.exact_mbt(g, _solve_options(args))
-    bound = res.bound
+    stats = {s: getattr(res.stats, s) for s in res.stats.__slots__ if s != "elapsed_s"}
     out = {
         "value": res.value,
         "exhaustive": res.exhaustive,
-        "lower_bound": {
-            "value": bound.value,
-            "reason": bound.reason,
-            "max_degree": bound.max_degree,
-            "regular_degree": bound.regular_degree,
-            "odd_cycle": list(bound.odd_cycle) if bound.odd_cycle else None,
-            "overfull": list(bound.overfull) if bound.overfull else None,
-            "chromatic_index": bound.chromatic_index,
-        },
-        "stats": {
-            "orders_tested": res.stats.orders_tested,
-            "nodes": res.stats.nodes,
-            "per_level": {str(k): v for k, v in res.stats.per_level.items()},
-            "timed_out": res.stats.timed_out,
-            "kernel_calls": res.stats.kernel_calls,
-            "clique_refuted": res.stats.clique_refuted,
-            "clique_steps": res.stats.clique_steps,
-            "parity_refuted": res.stats.parity_refuted,
-            # kept so the stdout keys do not change; no prefix is repaired
-            "repaired": 0,
-        },
+        "lower_bound": res.bound._asdict(),
+        # "repaired" is kept so the stdout keys do not change; no prefix is repaired
+        "stats": {**stats, "repaired": 0},
         "witness": formats.embedding_to_dict(res.witness) if res.witness else None,
     }
     sys.stdout.write(formats.dumps(out))

@@ -4,7 +4,10 @@ a spine order plus page assignment is a matching book embedding.
 A page is valid when its edges are pairwise noncrossing under the spine
 order and form a matching (no vertex carries two edges on one page). The
 validator reports every violation rather than the first one found, so a
-broken construction can be localised page by page.
+broken construction can be localised page by page. Each violation names
+its ``kind`` and carries its page and the ``edges`` at fault: a crossing
+pair, or the edges sharing a vertex; its fields, after its kind, are
+what ``verify`` prints.
 
 This module owns the crossing rule, once: ``straddling`` reads the edges
 with exactly one end strictly between two spine positions off the
@@ -60,15 +63,20 @@ class BookEmbedding(_BookEmbedding):
 
 
 class Crossing(NamedTuple):
+    """Two edges of one page that cross, the lower-indexed first."""
+
     page: int
-    edge_a: Edge
-    edge_b: Edge
+    edges: tuple[Edge, Edge]
+    kind = "crossing"
 
 
 class MatchingViolation(NamedTuple):
+    """Two or more edges of one page at one vertex, sorted."""
+
     page: int
     vertex: int
     edges: tuple[Edge, ...]
+    kind = "matching"
 
 
 class ValidationReport(NamedTuple):
@@ -162,7 +170,7 @@ def validate(emb: BookEmbedding) -> ValidationReport:
         while cross:
             low = cross & -cross
             cross ^= low
-            violations.append(Crossing(page, g.edges[i], g.edges[low.bit_length() - 1]))
+            violations.append(Crossing(page, (g.edges[i], g.edges[low.bit_length() - 1])))
     for page, edges in by_page.items():
         incident: dict[int, list[Edge]] = defaultdict(list)
         for edge in edges:
@@ -172,11 +180,6 @@ def validate(emb: BookEmbedding) -> ValidationReport:
             if len(hit) >= 2:
                 violations.append(MatchingViolation(page, vertex, tuple(sorted(hit))))
 
-    violations.sort(key=_violation_key)
+    # by page, crossings before matchings, then by the other fields
+    violations.sort(key=lambda v: (v.page, v.kind, v[1:]))
     return ValidationReport(not violations, emb.page_count, tuple(violations))
-
-
-def _violation_key(v: Crossing | MatchingViolation):
-    if isinstance(v, Crossing):
-        return (v.page, 0, v.edge_a, v.edge_b)
-    return (v.page, 1, (v.vertex,), v.edges)

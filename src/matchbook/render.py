@@ -8,7 +8,7 @@ bytes depend only on the embedding and the rendering options.
 from __future__ import annotations
 
 from .graphs import vertex_labels
-from .layout import BookEmbedding, Crossing, MatchingViolation, ValidationReport
+from .layout import BookEmbedding, ValidationReport
 
 PALETTE = [
     "#1f77b4",
@@ -39,16 +39,7 @@ def page_color(i: int) -> str:
 
 
 def _bad_edges(report: ValidationReport | None) -> set:
-    bad = set()
-    if report is None:
-        return bad
-    for v in report.violations:
-        if isinstance(v, Crossing):
-            bad.add(v.edge_a)
-            bad.add(v.edge_b)
-        elif isinstance(v, MatchingViolation):
-            bad.update(v.edges)
-    return bad
+    return {e for v in report.violations for e in v.edges} if report else set()
 
 
 def _arc(x1: float, x2: float, y: float, color: str, bad: bool) -> str:

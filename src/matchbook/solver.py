@@ -264,15 +264,17 @@ def edge_chromatic_exact(g: Graph, node_budget: int = DEFAULT_CHI_NODES) -> Edge
 
 
 class BoundCertificate(NamedTuple):
-    """Provable page lower bound with re-checkable evidence (an odd cycle or an overfull vertex set)."""
+    """Provable page lower bound with re-checkable evidence (an odd cycle or an overfull vertex set).
+
+    ``solve`` prints the fields, in this order, as its ``lower_bound``."""
 
     value: int
     reason: str  # max-degree | chromatic-index | regular-nonbipartite
     max_degree: int
     regular_degree: int | None = None
     odd_cycle: tuple[int, ...] | None = None
-    chromatic_index: int | None = None
     overfull: tuple[int, ...] | None = None
+    chromatic_index: int | None = None
 
 
 def lower_bound(g: Graph) -> BoundCertificate:
@@ -302,7 +304,8 @@ class SolveStats:
     kernel's search nodes over them, ``clique_refuted`` the prefixes that a
     clique refuted, ``clique_steps`` the steps of the clique search and
     ``parity_refuted`` the prefixes that page parity refuted, inside or
-    outside the edge they closed.
+    outside the edge they closed. ``solve`` prints every slot but
+    ``elapsed_s``, in this order, as its ``stats``.
     """
 
     __slots__ = (

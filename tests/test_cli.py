@@ -230,6 +230,23 @@ def test_verify_detects_crossing(capsys, tmp_path):
     ]
 
 
+def test_verify_prints_each_violation_as_its_kind_and_fields(capsys, tmp_path):
+    # one crossing and two matching violations on page 0, byte for byte:
+    # the report's fields, then per violation its kind and its fields
+    g = Graph(4, ((0, 1), (0, 2), (1, 3)))
+    gp, ep = tmp_path / "g.json", tmp_path / "e.json"
+    save_graph(g, gp)
+    save_embedding(BookEmbedding(g, (0, 1, 2, 3), (0, 0, 0), 1), ep)
+    code, out, _ = run(capsys, "verify", str(gp), str(ep))
+    assert code == 1
+    assert out == (
+        '{"valid": false, "page_count": 1, "violations": ['
+        '{"kind": "crossing", "page": 0, "edges": [[0, 2], [1, 3]]}, '
+        '{"kind": "matching", "page": 0, "vertex": 0, "edges": [[0, 1], [0, 2]]}, '
+        '{"kind": "matching", "page": 0, "vertex": 1, "edges": [[0, 1], [1, 3]]}]}\n'
+    )
+
+
 def test_verify_rejects_malformed_spine(capsys, tmp_path):
     gp, ep = tmp_path / "g.json", tmp_path / "e.json"
     save_graph(cycle(3), gp)
@@ -270,6 +287,9 @@ def test_solve_prints_the_overfull_vertex_set(capsys, tmp_path):
         "value": 5, "reason": "chromatic-index", "max_degree": 4, "regular_degree": None,
         "odd_cycle": None, "overfull": [0, 1, 2, 3, 4], "chromatic_index": 5,
     }
+    assert list(res["lower_bound"]) == [
+        "value", "reason", "max_degree", "regular_degree", "odd_cycle", "overfull", "chromatic_index",
+    ]
     assert list(res["stats"]) == [
         "orders_tested", "nodes", "per_level", "timed_out", "kernel_calls",
         "clique_refuted", "clique_steps", "parity_refuted", "repaired",

@@ -104,7 +104,7 @@ def test_validate_single_crossing():
     emb = BookEmbedding(g, SPINE4, (0, 0), 1)
     rep = validate(emb)
     assert not rep.valid
-    assert rep.violations == (Crossing(0, (0, 2), (1, 3)),)
+    assert rep.violations == (Crossing(0, ((0, 2), (1, 3))),)
 
 
 def test_validate_edgeless():
@@ -176,7 +176,7 @@ def test_validator_agrees_with_brute_force(emb):
 
 def _as_tuple(v):
     if isinstance(v, Crossing):
-        return ("crossing", v.page, v.edge_a, v.edge_b)
+        return ("crossing", v.page, *v.edges)
     return ("matching", v.page, v.vertex, v.edges)
 
 

@@ -98,6 +98,14 @@ def test_cli_identity_names_the_keys_that_differ():
     assert ident.differing_keys(base, {**base, "extra": None}) == ["extra"]
     assert ident.differing_keys([1], [2]) == ["the whole document"]
     assert ident.at_keys(base, head) == " at stats.nodes, stats.parity_refuted"
+    # equal values whose keys come in another order, as a reordered record prints them
+    reordered = {"value": 3, "stats": {"parity_refuted": 0, "nodes": 16, "per_level": {"3": 10}}}
+    assert ident.difference("stdout", base, base) is None
+    assert ident.difference("stdout", base, reordered) == "stdout key order differs at stats"
+    assert ident.difference("stdout", base, head) == "stdout differs at stats.nodes, stats.parity_refuted"
+    report = {"valid": False, "violations": [{"kind": "crossing", "page": 0, "edges": [[0, 2], [1, 3]]}]}
+    swapped = {"violations": [{"page": 0, "kind": "crossing", "edges": [[0, 2], [1, 3]]}], "valid": False}
+    assert ident.reordered_keys(report, swapped) == ["the whole document", "violations.0"]
 
 
 def test_solver_identity_names_the_keys_that_differ(tmp_path, monkeypatch, request):
@@ -122,10 +130,12 @@ def test_solver_identity_names_the_keys_that_differ(tmp_path, monkeypatch, reque
     monkeypatch.setattr(head.solver._PrefixSearch, "parity", lambda self, d, v: False)
     lines, differ = ident.identity(base, head, graphs)
     counts = {"stats.clique_refuted": 6, "stats.clique_steps": 6, "stats.parity_refuted": 6}
-    keys = ["bound", "exhaustive", "stats.clique_refuted", "stats.clique_steps", "stats.kernel_calls", "stats.nodes",
-            "stats.orders_tested", "stats.parity_refuted", "stats.per_level", "stats.timed_out", "value", "witness"]
-    assert lines[:12] == [f"{key}: {counts.get(key, 0)} of 32 solves differ" for key in keys]
-    assert lines[12] == "  K6-e symmetry=True max_pages=None timeout=None: " + ", ".join(counts)
+    keys = ["bound.chromatic_index", "bound.max_degree", "bound.odd_cycle", "bound.overfull", "bound.reason",
+            "bound.regular_degree", "bound.value", "exhaustive", "stats.clique_refuted", "stats.clique_steps",
+            "stats.kernel_calls", "stats.nodes", "stats.orders_tested", "stats.parity_refuted", "stats.per_level",
+            "stats.timed_out", "value", "witness"]
+    assert lines[:18] == [f"{key}: {counts.get(key, 0)} of 32 solves differ" for key in keys]
+    assert lines[18] == "  K6-e symmetry=True max_pages=None timeout=None: " + ", ".join(counts)
     assert (lines[-1], differ) == ("32 solves of 2 graphs, 6 differ", 6)
 
 
