@@ -3,15 +3,15 @@
 
 Each side gets its own work directory holding the same input files, and
 runs the same `python -m matchbook` commands there with its tree first on
-PYTHONPATH. The two sides must agree on every command's exit code and
-stderr, on its stdout (parsed when it is JSON, as text otherwise) and on
-every file in the work directory at the end (parsed when it is JSON, byte
-for byte otherwise, as for SVG). A solve's `stats.elapsed_s`, a wall
-time that older trees print, is left out. A JSON difference is reported
-with the keys at which the two sides differ, such as
-`stats.clique_refuted`; equal JSON whose objects list their keys in a
-different order is reported with the objects that do, such as
-`lower_bound`. Standard library only; nothing here imports matchbook.
+PYTHONPATH. The two sides must agree on every command's exit code, and
+on its stderr and stdout as text, and on every file in the work directory
+at the end byte for byte. Only when two outputs differ are they parsed as
+JSON, where both parse, to explain the difference: one walk names the
+dotted keys whose values differ in value or in type (so `false` differs
+from `0` and `1` from `1.0`), such as `stats.clique_refuted`, and the
+objects whose keys come in another order, such as `lower_bound (key
+order)`. A difference that is not JSON is reported as it is. Standard
+library only; nothing here imports matchbook.
 
 The cases cover gen, embed, verify, solve and render, with and without
 -o, on small K_p x C_q graphs, two products of files (K5 x K3,3, whose
@@ -39,6 +39,7 @@ from pathlib import Path
 
 MAX_PRODUCT_DEPTH = 64
 MISSING = object()  # a key one side of a comparison lacks
+SHOWN = 10  # differing keys named per difference
 
 
 def graph_doc(name: str, n: int, edges, family=None) -> dict:
@@ -118,39 +119,22 @@ def cases(large: bool) -> list[list[str]]:
     return out
 
 
-def parsed(text: str):
-    """JSON text parsed, without the solve's wall time; other text as is."""
-    try:
-        doc = json.loads(text)
-    except ValueError:
-        return text
-    if isinstance(doc, dict) and isinstance(doc.get("stats"), dict):
-        doc["stats"].pop("elapsed_s", None)
-    return doc
-
-
 def dotted(at: str, key) -> str:
     return f"{at}.{key}" if at else str(key)
 
 
 def differing_keys(x, y, at: str = "") -> list[str]:
-    """The dotted keys at which two parsed JSON values differ; a key that
-    one side lacks differs."""
+    """The dotted keys at which two parsed JSON values differ in value or in
+    type, a key that one side lacks included, and the objects whose keys
+    come in another order, marked "(key order)"; a list item's key is its
+    index."""
     if isinstance(x, dict) and isinstance(y, dict):
-        return [p for k in sorted(x.keys() | y.keys())
-                for p in differing_keys(x.get(k, MISSING), y.get(k, MISSING), dotted(at, k))]
-    return [] if x == y else [at or "the whole document"]
-
-
-def reordered_keys(x, y, at: str = "") -> list[str]:
-    """The dotted keys of the objects whose keys two equal parsed JSON
-    values list in different orders; a list item's key is its index."""
-    if isinstance(x, dict) and isinstance(y, dict):
-        here = [at or "the whole document"] if list(x) != list(y) else []
-        return here + [p for k in x for p in reordered_keys(x[k], y[k], dotted(at, k))]
-    if isinstance(x, list) and isinstance(y, list):
-        return [p for i, (a, b) in enumerate(zip(x, y)) for p in reordered_keys(a, b, dotted(at, i))]
-    return []
+        here = [f"{at or 'the whole document'} (key order)"] if x.keys() == y.keys() and list(x) != list(y) else []
+        return here + [p for k in sorted(x.keys() | y.keys())
+                       for p in differing_keys(x.get(k, MISSING), y.get(k, MISSING), dotted(at, k))]
+    if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        return [p for i, (a, b) in enumerate(zip(x, y)) for p in differing_keys(a, b, dotted(at, i))]
+    return [] if type(x) is type(y) and x == y else [at or "the whole document"]
 
 
 def run_side(src: str, work: Path, argvs: list[list[str]]) -> tuple[list, dict]:
@@ -161,23 +145,20 @@ def run_side(src: str, work: Path, argvs: list[list[str]]) -> tuple[list, dict]:
     for argv in argvs:
         proc = subprocess.run([sys.executable, "-m", "matchbook", *argv], cwd=work, env=env,
                               capture_output=True, text=True, encoding="utf-8", timeout=600)
-        results.append((proc.returncode, proc.stderr, parsed(proc.stdout), len(proc.stdout.encode())))
+        results.append((proc.returncode, proc.stderr, proc.stdout))
     files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
     return results, files
 
 
-def at_keys(x, y) -> str:
-    return f" at {', '.join(differing_keys(x, y))}" if isinstance(x, dict) and isinstance(y, dict) else ""
-
-
-def difference(what: str, x, y) -> str | None:
-    """How two sides' parsed outputs differ, or None when they agree in
-    value and in key order."""
-    if x != y:
-        return f"{what} differs" + at_keys(x, y)
-    if order := reordered_keys(x, y):
-        return f"{what} key order differs at {', '.join(order)}"
-    return None
+def difference(what: str, x, y) -> str:
+    """How two sides' unequal outputs differ: at the keys that
+    ``differing_keys`` names when both parse as JSON."""
+    try:
+        keys = differing_keys(json.loads(x), json.loads(y))
+    except (TypeError, ValueError):  # an exit code, a missing file or text that is not JSON
+        return f"{what} differs"
+    shown = keys[:SHOWN] + ([f"{len(keys) - SHOWN} more"] if len(keys) > SHOWN else [])
+    return f"{what} differs at {', '.join(shown)}" if keys else f"{what} differs as text, not as JSON"
 
 
 def main() -> int:
@@ -197,18 +178,16 @@ def main() -> int:
 
     diffs = []
     for argv, a, b in zip(argvs, base, head):
-        for what, x, y in (("exit code", a[0], b[0]), ("stderr", a[1], b[1]), ("stdout", a[2], b[2])):
-            if line := difference(what, x, y):
-                diffs.append(f"{' '.join(argv)}: {line}")
+        for what, x, y in zip(("exit code", "stderr", "stdout"), a, b):
+            if x != y:
+                diffs.append(f"{' '.join(argv)}: {difference(what, x, y)}")
     for name in sorted(base_files.keys() | head_files.keys()):
         x, y = base_files.get(name), head_files.get(name)
-        if x is not None and y is not None and name.endswith(".json"):
-            x, y = json.loads(x), json.loads(y)
-        if line := difference("file", x, y):
-            diffs.append(f"{name}: {line}")
+        if x != y:
+            diffs.append(f"{name}: {difference('file', x, y)}")
     for line in diffs:
         print(line)
-    stdout = [sum(r[3] for r in side) for side in (base, head)]
+    stdout = [sum(len(r[2].encode()) for r in side) for side in (base, head)]
     files = [sum(len(v) for v in side.values()) for side in (base_files, head_files)]
     print(f"{len(argvs)} commands, {len(base_files)} files, {len(diffs)} differences;"
           f" stdout bytes {stdout[0]:,} -> {stdout[1]:,}, file bytes {files[0]:,} -> {files[1]:,}")

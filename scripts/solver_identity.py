@@ -11,15 +11,19 @@ Identity mode (the default) solves:
   - every labelling in the corpus's labelling pools, from which the
     solve-find workload draws its inputs, each distinct labelled graph once;
   - K3 x C51;
+  - the graphs of SCAN_CORPUS in tests/test_solver.py, built by the base
+    tree's generators;
   - RANDOM_GRAPHS seeded random connected graphs with n = 3-9.
-Each graph runs with symmetry on and off, max_pages None, b-1, b and b+1
-for its counted bound b, and timeouts 0 and None. Every SolveResult field,
-every BoundCertificate field by name and every SolveStats field except
-elapsed_s is compared, and the script
-prints, per key, how many solves differ, with the first differing solves.
-It also compares the kernel's status, colouring and node count on the
-identity spines of K10 x C11 at k = 12 and K12 x C13 at k = 14. It exits 1
-when anything differs.
+A labelling or scan-corpus graph whose edge set is already in the set is
+skipped. Each graph runs with symmetry on and off, max_pages None, b-1, b
+and b+1 for its counted bound b, and timeouts 0 and None. Every
+SolveResult field, every BoundCertificate field by name and every
+SolveStats field except elapsed_s is compared by its repr, so a value
+differs from one of another type (True from 1, 3 from 3.0), and the
+script prints, per key, how many solves differ, with the first differing
+solves. It also compares, by repr, the kernel's status, colouring and
+node count on the identity spines of K10 x C11 at k = 12 and K12 x C13
+at k = 14. It exits 1 when anything differs.
 
 --ab runs REPS alternating reps of three workloads under each tree,
 timed by time.process_time: the solve-refute corpus on its committed
@@ -109,10 +113,24 @@ def random_graphs(count: int) -> list[tuple[str, int, tuple]]:
     return out
 
 
+def scan_corpus(graphs) -> list[tuple[str, int, tuple]]:
+    """(name, n, edges) of SCAN_CORPUS in tests/test_solver.py, built by the
+    generators of ``graphs``: small graphs, many of them rich in twins."""
+    gs = [graphs.cycle(5), graphs.complete_bipartite(3, 4), graphs.hypercube(3), graphs.complete(5),
+          graphs.delete_edge(graphs.complete(6), (0, 1)), graphs.kpcq(3, 3),
+          graphs.delete_edge(graphs.complete(7), (0, 1)), graphs.complete_bipartite(2, 4),
+          graphs.Graph(6, tuple(e for e in combinations(range(6), 2) if e not in ((0, 1), (2, 3), (4, 5))),
+                       name="K2,2,2"),
+          graphs.complete_bipartite(1, 5),
+          graphs.Graph(7, ((0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (2, 5), (2, 6), (3, 4), (3, 5), (5, 6)),
+                       name="R13-14")]
+    return [(g.name, g.n, g.edges) for g in gs]
+
+
 def identity_graphs(base: Tree) -> list[tuple[str, int, tuple]]:
     out = [(e["name"], e["n"], relabelled(e, range(e["n"]))) for es in corpus().values() for e in es]
     seen = {edges for _, _, edges in out}
-    for name, n, edges in labellings():
+    for name, n, edges in labellings() + scan_corpus(base.graphs):
         if edges not in seen:
             seen.add(edges)
             out.append((name, n, edges))
@@ -139,8 +157,9 @@ def record(res) -> dict:
 
 
 def differing_keys(a: dict, b: dict) -> list[str]:
-    """The keys at which two records differ; a key one lacks differs."""
-    return [k for k in sorted(a.keys() | b.keys()) if a.get(k, MISSING) != b.get(k, MISSING)]
+    """The keys at which two records differ in value or in type; a key one
+    lacks differs."""
+    return [k for k in sorted(a.keys() | b.keys()) if repr(a.get(k, MISSING)) != repr(b.get(k, MISSING))]
 
 
 def solves(graphs, base: Tree):
@@ -179,8 +198,9 @@ def kernel_identity(base: Tree, head: Tree) -> tuple[list[str], int]:
     lines, differ = [], 0
     for p, q, k in KERNEL_SPINES:
         a, b = (tuple(t.solver.color_graph(t.kernel_masks(p, q), k)) for t in (base, head))
-        differ += a != b
-        same = "identical" if a == b else f"differs (base {a[0]}, {a[2]:,} nodes)"
+        equal = repr(a) == repr(b)
+        differ += not equal
+        same = "identical" if equal else f"differs (base {a[0]}, {a[2]:,} nodes)"
         lines.append(f"kernel on K{p}xC{q}'s identity spine at k = {k}: {same}; head {b[0]}, {b[2]:,} nodes")
     return lines, differ
 

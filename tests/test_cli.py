@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from matchbook.formats import (
 from matchbook.graphs import FAMILIES, Graph, complete, complete_bipartite, cycle, delete_edge, kpcq, path
 from matchbook.layout import BookEmbedding, validate
 from graph_files import save_graph
+from oracles import overfull_count
 
 CORPUS_FILE = Path(__file__).parent.parent / "perfbench" / "corpus.json"
 
@@ -300,6 +302,22 @@ def test_solve_prints_the_overfull_vertex_set(capsys, tmp_path):
     assert code == 0 and json.loads(out)["lower_bound"]["overfull"] is None
     code, out, _ = run(capsys, "solve", str(gp), "--max-pages", "2")
     assert code == 1 and json.loads(out)["lower_bound"]["overfull"] is None
+
+
+def test_solve_prints_the_first_overfull_set_of_a_tie(capsys, tmp_path):
+    # K5-e on 0-4 and K4 on 5-8, joined by (0, 5) and (1, 6): n = 9, m = 17
+    # and max degree 4. Peeling counts 5 on all nine vertices and 5 again on
+    # {0, ..., 4}; the first H with the largest count is the evidence
+    edges = [e for e in combinations(range(5), 2) if e != (0, 1)]
+    edges += [(u + 5, v + 5) for u, v in combinations(range(4), 2)] + [(0, 5), (1, 6)]
+    g = Graph(9, edges)
+    assert (g.m, overfull_count(g, tuple(range(9))), overfull_count(g, tuple(range(5)))) == (17, 5, 5)
+    cert = solver.lower_bound(g)
+    assert (cert.value, cert.reason, cert.overfull) == (5, "chromatic-index", tuple(range(9)))
+    gp = tmp_path / "tie.json"
+    save_graph(g, gp)
+    code, out, _ = run(capsys, "solve", str(gp))
+    assert code == 0 and json.loads(out)["lower_bound"]["overfull"] == list(cert.overfull)
 
 
 def test_solve_k33_with_witness_file(capsys, tmp_path):

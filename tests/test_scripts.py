@@ -89,6 +89,9 @@ def test_bench_corpus_pins_hold_on_the_committed_labelling():
 
 
 def test_cli_identity_names_the_keys_that_differ():
+    # outputs are compared as text or bytes; only unequal ones are parsed,
+    # and the walk names keys whose values differ in value or in type, and
+    # objects whose keys come in another order
     spec = importlib.util.spec_from_file_location("cli_identity", ROOT / "scripts" / "cli_identity.py")
     ident = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ident)
@@ -96,22 +99,38 @@ def test_cli_identity_names_the_keys_that_differ():
     head = {"value": 3, "stats": {"nodes": 9, "parity_refuted": 2, "per_level": {"3": 10}}}
     assert ident.differing_keys(base, head) == ["stats.nodes", "stats.parity_refuted"]
     assert ident.differing_keys(base, {**base, "extra": None}) == ["extra"]
-    assert ident.differing_keys([1], [2]) == ["the whole document"]
-    assert ident.at_keys(base, head) == " at stats.nodes, stats.parity_refuted"
+    assert ident.differing_keys([1], [2]) == ["0"]
+    assert ident.differing_keys([1], [1, 2]) == ["the whole document"]
+    assert ident.difference("stdout", json.dumps(base), json.dumps(head)) == \
+        "stdout differs at stats.nodes, stats.parity_refuted"
+    # equal under ==, unequal in type: a bool for an int, a float for an int
+    assert ident.difference("stdout", '{"timed_out": false, "v": 1}', '{"timed_out": 0, "v": 1.0}') == \
+        "stdout differs at timed_out, v"
+    assert ident.differing_keys({"spine": [0, 1]}, {"spine": [False, 1]}) == ["spine.0"]
     # equal values whose keys come in another order, as a reordered record prints them
     reordered = {"value": 3, "stats": {"parity_refuted": 0, "nodes": 16, "per_level": {"3": 10}}}
-    assert ident.difference("stdout", base, base) is None
-    assert ident.difference("stdout", base, reordered) == "stdout key order differs at stats"
-    assert ident.difference("stdout", base, head) == "stdout differs at stats.nodes, stats.parity_refuted"
+    assert ident.difference("stdout", json.dumps(base), json.dumps(reordered)) == \
+        "stdout differs at stats (key order)"
+    assert ident.difference("stdout", '{"a": 1, "b": {"x": 1, "y": 2}}', '{"a": 1, "b": {"y": 2, "x": 1}}') == \
+        "stdout differs at b (key order)"
     report = {"valid": False, "violations": [{"kind": "crossing", "page": 0, "edges": [[0, 2], [1, 3]]}]}
     swapped = {"violations": [{"page": 0, "kind": "crossing", "edges": [[0, 2], [1, 3]]}], "valid": False}
-    assert ident.reordered_keys(report, swapped) == ["the whole document", "violations.0"]
+    assert ident.differing_keys(report, swapped) == ["the whole document (key order)", "violations.0 (key order)"]
+    # equal JSON in another layout, text that is not JSON, exit codes and files as bytes
+    assert ident.difference("stdout", '{"v": 1}\n', '{"v":  1}\n') == "stdout differs as text, not as JSON"
+    assert ident.difference("stderr", "error: a\n", "error: b\n") == "stderr differs"
+    assert ident.difference("exit code", 0, 2) == "exit code differs"
+    assert ident.difference("file", b'{"v": 1}', b'{"v": 2}') == "file differs at v"
+    assert ident.difference("file", b"<svg/>", None) == "file differs"
+    many = ident.difference("stdout", json.dumps(list(range(12))), json.dumps(list(range(1, 13))))
+    assert many == "stdout differs at 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2 more"
 
 
 def test_solver_identity_names_the_keys_that_differ(tmp_path, monkeypatch, request):
     # both sides load this tree under their own package names; a head with
     # page parity off refutes K6-e's prefixes by cliques instead, and only
-    # the counters of the solves that scan level 5 to its end differ
+    # the counters of the solves that scan level 5 to its end differ; a head
+    # whose exhaustive flag is an int differs on every solve
     spec = importlib.util.spec_from_file_location("solver_identity", ROOT / "scripts" / "solver_identity.py")
     ident = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ident)
@@ -137,6 +156,13 @@ def test_solver_identity_names_the_keys_that_differ(tmp_path, monkeypatch, reque
     assert lines[:18] == [f"{key}: {counts.get(key, 0)} of 32 solves differ" for key in keys]
     assert lines[18] == "  K6-e symmetry=True max_pages=None timeout=None: " + ", ".join(counts)
     assert (lines[-1], differ) == ("32 solves of 2 graphs, 6 differ", 6)
+    # values are compared with their types: an int exhaustive flag is no bool
+    monkeypatch.undo()
+    solve = head.solver.exact_mbt
+    monkeypatch.setattr(head.solver, "exact_mbt", lambda *a: (r := solve(*a))._replace(exhaustive=int(r.exhaustive)))
+    lines, differ = ident.identity(base, head, graphs)
+    assert lines[7] == "exhaustive: 32 of 32 solves differ" and differ == 32
+    assert lines[18] == "  C5 symmetry=True max_pages=None timeout=0: exhaustive"
 
 
 def test_bench_cli_small_checks_out_traced_and_untraced(tmp_path, monkeypatch):

@@ -590,19 +590,24 @@ def _corpus_graph(name):
     return Graph(entry["n"], tuple(map(tuple, entry["edges"])), name=name)
 
 
-# value, nodes, orders, per-level orders and witness spine of exact_mbt on
-# committed corpus graphs; any change to the branching of the kernel or of
-# the prefix search moves the node or order counts
+# value, nodes, orders, per-level orders, witness spine and (clique-,
+# parity-refuted prefixes) of exact_mbt on committed corpus graphs; any
+# change to the branching of the kernel or of the prefix search moves the
+# node or order counts, and a prune weakened or switched off moves the
+# refutations: with the twin rule off K8-3e reads (131, 160), R7-90
+# (704, 300) and K4,4 (0, 63)
 GOLDEN = {
-    "R7-267": (5, 59, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6)),
-    "K6-e": (6, 14, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5)),
-    "Q3": (3, 12, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7)),
-    "Petersen": (4, 15, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8)),
-    "K3xC3": (5, 35, 2, {5: 2}, (0, 1, 2, 3, 4, 5, 6, 8, 7)),
-    # twin-rich graphs: the twin rule lowers their nodes, never their orders
-    "K8-e": (8, 27, 2521, {7: 2520, 8: 1}, (0, 1, 2, 3, 4, 5, 6, 7)),
-    "K8-3e": (7, 25, 1009, {7: 1009}, (0, 2, 4, 6, 5, 3, 1, 7)),
-    "K4,4": (4, 16, 1839, {4: 1839}, (0, 4, 1, 5, 2, 6, 3, 7)),
+    "R7-267": (5, 59, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6), (330, 562)),
+    "K6-e": (6, 14, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5), (0, 3)),
+    "Q3": (3, 12, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7), (0, 2)),
+    "Petersen": (4, 15, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8), (6, 0)),
+    "K3xC3": (5, 35, 2, {5: 2}, (0, 1, 2, 3, 4, 5, 6, 8, 7), (0, 0)),
+    # twin-rich graphs: the twin rule lowers their nodes and refutations,
+    # never their orders
+    "K8-e": (8, 27, 2521, {7: 2520, 8: 1}, (0, 1, 2, 3, 4, 5, 6, 7), (0, 3)),
+    "K8-3e": (7, 25, 1009, {7: 1009}, (0, 2, 4, 6, 5, 3, 1, 7), (32, 38)),
+    "K4,4": (4, 16, 1839, {4: 1839}, (0, 4, 1, 5, 2, 6, 3, 7), (0, 5)),
+    "R7-90": (5, 17, 9531, {5: 9531}, (0, 3, 1, 4, 6, 5, 7, 2, 8), (404, 178)),
 }
 
 
@@ -623,7 +628,8 @@ def test_exact_mbt_refutation_split(name):
 def test_exact_mbt_golden_counters(name, jobs):
     res = exact_mbt(_corpus_graph(name), SolveOptions(jobs=jobs))
     s = res.stats
-    assert (res.value, s.nodes, s.orders_tested, s.per_level, res.witness.spine) == GOLDEN[name]
+    refuted = (s.clique_refuted, s.parity_refuted)
+    assert (res.value, s.nodes, s.orders_tested, s.per_level, res.witness.spine, refuted) == GOLDEN[name]
     assert res.exhaustive and validate(res.witness).valid
 
 
