@@ -16,6 +16,7 @@ only the embeddings a caller hands them.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -191,12 +192,21 @@ def witness_for(b: Graph, opts: SolveOptions | None = None) -> BookEmbedding | N
     return emb if emb.page_count == max_degree(b) else None
 
 
-def _product(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
+def _budget(opts: SolveOptions, start: float) -> SolveOptions:
+    """opts with ``timeout_s`` less the time spent since ``start``, and never
+    below 0, so that every solve one embedding starts shares one budget."""
+    if opts.timeout_s is None:
+        return opts
+    return opts._replace(timeout_s=max(0.0, opts.timeout_s - (time.monotonic() - start)))
+
+
+def _product(g: Graph, opts: SolveOptions) -> BookEmbedding:
+    start = time.monotonic()
     _, left, right = g.family
     wit = witness_for(right, opts)
     if wit is None:
         raise ConstructionUnresolved("right factor admits no dispersable witness")
-    emb = product_embedding(auto_embedding(left, opts).embedding, wit)
+    emb = product_embedding(auto_embedding(left, _budget(opts, start)).embedding, wit)
     # product_embedding names the product after its factors' embedded graphs;
     # the result keeps g's own name and tag unless it embeds another graph
     return emb._replace(graph=g) if emb.graph == g else emb
@@ -204,14 +214,14 @@ def _product(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
 
 # each kpcq builder regenerates the graph from the tag, so a false tag embeds
 # another graph, which construct reports
-def _kpcq_odd(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
+def _kpcq_odd(g: Graph, opts: SolveOptions) -> BookEmbedding:
     _, p, q = g.family
     g = kpcq(p, q)
     pages = tuple(_direct_page(p, q, u, v) for u, v in g.edges)
     return BookEmbedding(g, _snake_spine(p, q), pages, p + 2)
 
 
-def _kpcq_even(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
+def _kpcq_even(g: Graph, opts: SolveOptions) -> BookEmbedding:
     # even cycles are dispersable: the product construction on top of the
     # congruence embedding
     _, p, q = g.family
@@ -219,7 +229,7 @@ def _kpcq_even(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
     return emb._replace(graph=kpcq(p, q))
 
 
-def _solve(g: Graph, opts: SolveOptions | None) -> BookEmbedding:
+def _solve(g: Graph, opts: SolveOptions) -> BookEmbedding:
     # loaded here, so that an embedding by a construction never loads the solver
     from . import solver
 
@@ -257,15 +267,19 @@ def construct(g: Graph, scheme: str, opts: SolveOptions | None = None) -> Constr
     ``opts.max_pages`` leaves g unresolved. Under "auto" a scheme that
     cannot resolve g falls through to the exact solver, which runs once:
     when the solver itself finds nothing under the page cap, the
-    ConstructionUnresolved propagates. A disconnected g, or options out of
-    range, are a ValueError before any scheme runs.
+    ConstructionUnresolved propagates. Every solve that g's embedding
+    starts, for a product's factors or for the fallback, gets what is left
+    of one ``opts.timeout_s``. A disconnected g, or options out of range,
+    are a ValueError before any scheme runs.
     """
+    start = time.monotonic()
     if not is_connected(g):
         raise ValueError(f"{g.name} is not connected; an embedding requires a connected graph")
-    cap = opts.checked().max_pages if opts is not None else None
+    opts = (opts or SolveOptions()).checked()
+    cap = opts.max_pages
 
     def build(scheme: str) -> BookEmbedding:
-        emb = SCHEMES[scheme][1](g, opts)
+        emb = SCHEMES[scheme][1](g, _budget(opts, start))
         if cap is not None and emb.page_count > cap:
             raise ConstructionUnresolved(f"scheme {scheme} needs {emb.page_count} pages, over the cap of {cap}")
         return emb
@@ -277,7 +291,7 @@ def construct(g: Graph, scheme: str, opts: SolveOptions | None = None) -> Constr
         except ConstructionUnresolved:
             if scheme == SCHEME_SOLVER:
                 raise
-            scheme, emb = SCHEME_SOLVER, _solve(g, opts)
+            scheme, emb = SCHEME_SOLVER, _solve(g, _budget(opts, start))
     elif scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; known: auto, {', '.join(SCHEMES)}")
     elif not SCHEMES[scheme][0](g.family):

@@ -12,7 +12,9 @@ from typing import NamedTuple
 
 class SolveOptions(NamedTuple):
     """``max_pages`` caps the answer, on a timeout too (None: no cap), and
-    ``timeout_s`` bounds the whole solve (None: no limit). ``jobs`` is
+    ``timeout_s`` bounds the whole solve (None: no limit); under
+    ``constructions.construct`` it bounds all the solves of one embedding,
+    each getting what the earlier ones left. ``jobs`` is
     ignored, and the CLI has no flag for it: each level is one prefix
     search in this process; the field stays only because the benchmark
     harness still passes it. A solve's node budget, per full spine, is the

@@ -302,20 +302,21 @@ class SolveStats:
 
     ``kernel_calls`` counts the full spines the scan coloured, ``nodes`` the
     kernel's search nodes over them, ``clique_refuted`` the prefixes that a
-    clique refuted, ``clique_steps`` the steps of the clique search and
+    clique refuted, ``clique_steps`` the steps of the clique search,
     ``parity_refuted`` the prefixes that page parity refuted, inside or
-    outside the edge they closed. ``solve`` prints every slot but
-    ``elapsed_s``, in this order, as its ``stats``.
+    outside the edge they closed, and ``placements`` the calls to
+    ``_PrefixSearch.place``, each level's pinned root included. ``solve``
+    prints every slot but ``elapsed_s``, in this order, as its ``stats``.
     """
 
     __slots__ = (
         "orders_tested", "nodes", "elapsed_s", "per_level", "timed_out",
-        "kernel_calls", "clique_refuted", "clique_steps", "parity_refuted",
+        "kernel_calls", "clique_refuted", "clique_steps", "parity_refuted", "placements",
     )
 
     def __init__(self) -> None:
         self.orders_tested = self.nodes = self.kernel_calls = 0
-        self.clique_refuted = self.clique_steps = self.parity_refuted = 0
+        self.clique_refuted = self.clique_steps = self.parity_refuted = self.placements = 0
         self.elapsed_s = 0.0
         self.per_level: dict[int, int] = {}
         self.timed_out = False
@@ -457,6 +458,7 @@ class _PrefixSearch:
     def place(self, d: int, v: int) -> list[tuple[int, int]]:
         """Places v after spine[:d]; returns (f, its new conflicts), lowest f
         first, for each edge f at v whose conflicts that placement grew."""
+        self.stats.placements += 1
         pos, odd, masks = self.pos, self.odd, self.masks[d]
         self.spine[d], pos[v] = v, d
         grown = []

@@ -294,7 +294,7 @@ def test_solve_prints_the_overfull_vertex_set(capsys, tmp_path):
     ]
     assert list(res["stats"]) == [
         "orders_tested", "nodes", "per_level", "timed_out", "kernel_calls",
-        "clique_refuted", "clique_steps", "parity_refuted", "repaired",
+        "clique_refuted", "clique_steps", "parity_refuted", "placements", "repaired",
     ]
     # the key is null under every other reason, and the exit codes stay
     save_graph(cycle(5), gp)
@@ -516,7 +516,7 @@ def test_solve_kpcq_3_3(capsys, tmp_path):
     res = json.loads(out)
     assert res["value"] == 5 and res["exhaustive"]
     stats = solver.exact_mbt(kpcq(3, 3)).stats
-    counters = ("nodes", "kernel_calls", "clique_refuted", "clique_steps", "parity_refuted")
+    counters = ("nodes", "kernel_calls", "clique_refuted", "clique_steps", "parity_refuted", "placements")
     assert [res["stats"][key] for key in counters] == [getattr(stats, key) for key in counters]
     # no prefix is settled by a repaired colouring any more; the key stays
     assert res["stats"]["repaired"] == 0

@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -256,6 +257,40 @@ def test_witness_for_a_bipartite_product_takes_the_product_scheme(monkeypatch):
     w = witness_for(b)
     assert w is not None and w.page_count == max_degree(b) == 4
     assert w.graph == b and validate(w).valid
+
+
+def solve_budgets(monkeypatch) -> list[float]:
+    """The timeouts handed to the exact solver, under a fake clock in
+    ``constructions`` that only a solve moves, by 0.6 s each."""
+    now, budgets, solve = [0.0], [], exact_mbt
+
+    def timed(g, opts=None):
+        budgets.append(opts.timeout_s)
+        now[0] += 0.6
+        return solve(g, opts)
+
+    monkeypatch.setattr(cons, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr("matchbook.solver.exact_mbt", timed)
+    return budgets
+
+
+def test_a_product_solves_its_factors_within_one_timeout(monkeypatch):
+    # both factors are untagged, so each goes to the solver: the right
+    # factor's witness first, then the left factor with what it left
+    budgets = solve_budgets(monkeypatch)
+    g = cartesian_product(Graph(4, complete(4).edges), Graph(4, cycle(4).edges))
+    assert construct(g, "auto", SolveOptions(timeout_s=1.0)).scheme == cons.SCHEME_PRODUCT
+    assert budgets == pytest.approx([1.0, 0.4])
+
+
+def test_a_product_fallback_gets_what_the_witness_solve_left(monkeypatch):
+    # the right factor has no embedding within one page, so no dispersable
+    # witness, and auto falls through to solving the product itself
+    budgets = solve_budgets(monkeypatch)
+    g = cartesian_product(Graph(2, complete(2).edges), Graph(4, cycle(4).edges))
+    with pytest.raises(ConstructionUnresolved, match="found no embedding in 1 pages"):
+        construct(g, "auto", SolveOptions(max_pages=1, timeout_s=1.0))
+    assert budgets == pytest.approx([1.0, 0.4])
 
 
 def test_auto_embedding_routes():

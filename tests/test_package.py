@@ -108,4 +108,4 @@ def test_solve_stats_are_mutable_and_do_not_share_per_level():
     a.nodes += 5
     assert b.per_level == {} and b.nodes == 0
     assert (a.orders_tested, a.nodes, a.elapsed_s, a.per_level, a.timed_out) == (0, 5, 0.0, {4: 10}, False)
-    assert (a.kernel_calls, a.clique_refuted, a.clique_steps, a.parity_refuted) == (0, 0, 0, 0)
+    assert (a.kernel_calls, a.clique_refuted, a.clique_steps, a.parity_refuted, a.placements) == (0, 0, 0, 0, 0)

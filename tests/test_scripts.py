@@ -148,13 +148,13 @@ def test_solver_identity_names_the_keys_that_differ(tmp_path, monkeypatch, reque
     assert differ == 0 and lines[-1] == "32 solves of 2 graphs, 0 differ"
     monkeypatch.setattr(head.solver._PrefixSearch, "parity", lambda self, d, v: False)
     lines, differ = ident.identity(base, head, graphs)
-    counts = {"stats.clique_refuted": 6, "stats.clique_steps": 6, "stats.parity_refuted": 6}
+    counts = {"stats.clique_refuted": 6, "stats.clique_steps": 6, "stats.parity_refuted": 6, "stats.placements": 6}
     keys = ["bound.chromatic_index", "bound.max_degree", "bound.odd_cycle", "bound.overfull", "bound.reason",
             "bound.regular_degree", "bound.value", "exhaustive", "stats.clique_refuted", "stats.clique_steps",
             "stats.kernel_calls", "stats.nodes", "stats.orders_tested", "stats.parity_refuted", "stats.per_level",
-            "stats.timed_out", "value", "witness"]
-    assert lines[:18] == [f"{key}: {counts.get(key, 0)} of 32 solves differ" for key in keys]
-    assert lines[18] == "  K6-e symmetry=True max_pages=None timeout=None: " + ", ".join(counts)
+            "stats.placements", "stats.timed_out", "value", "witness"]
+    assert lines[:19] == [f"{key}: {counts.get(key, 0)} of 32 solves differ" for key in keys]
+    assert lines[19] == "  K6-e symmetry=True max_pages=None timeout=None: " + ", ".join(counts)
     assert (lines[-1], differ) == ("32 solves of 2 graphs, 6 differ", 6)
     # values are compared with their types: an int exhaustive flag is no bool
     monkeypatch.undo()
@@ -162,7 +162,27 @@ def test_solver_identity_names_the_keys_that_differ(tmp_path, monkeypatch, reque
     monkeypatch.setattr(head.solver, "exact_mbt", lambda *a: (r := solve(*a))._replace(exhaustive=int(r.exhaustive)))
     lines, differ = ident.identity(base, head, graphs)
     assert lines[7] == "exhaustive: 32 of 32 solves differ" and differ == 32
-    assert lines[18] == "  C5 symmetry=True max_pages=None timeout=0: exhaustive"
+    assert lines[19] == "  C5 symmetry=True max_pages=None timeout=0: exhaustive"
+
+
+def test_mutants_names_the_test_that_kills_a_mutant(request, monkeypatch, capsys):
+    # one mutant against one pinned solve, in a copy of this tree: the twin
+    # rule off moves K8-3e's refutations and placements. The script leaves
+    # this test, by its id, out of the tier-1 runs it makes
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.SELF_TEST == request.node.nodeid
+    assert mutants.stale() == []
+    twin_off = next(m for m in mutants.MUTANTS if m.why.startswith("the twin rule switched off"))
+    case = "tests/test_solver.py::test_exact_mbt_golden_counters[K8-3e]"
+    assert mutants.outcome(twin_off, [case]) == \
+        f"src/matchbook/solver.py: the twin rule switched off (every twin left -1): killed by {case}"
+    # an old text that the code has outgrown stops the script before any test runs
+    monkeypatch.setattr(mutants, "MUTANTS", [twin_off._replace(old="self.twin = None")])
+    assert mutants.main() == 1
+    assert capsys.readouterr().out == \
+        "src/matchbook/solver.py: the twin rule switched off (every twin left -1): the old text occurs 0 times, not once\n"
 
 
 def test_bench_cli_small_checks_out_traced_and_untraced(tmp_path, monkeypatch):

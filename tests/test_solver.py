@@ -256,27 +256,16 @@ def test_symmetry_quotient_loses_nothing(g):
     assert with_sym.exhaustive and without.exhaustive
 
 
-def test_parallel_scan_is_deterministic():
-    g = complete_bipartite(3, 3)
-    serial = exact_mbt(g, SolveOptions(jobs=1))
-    parallel = exact_mbt(g, SolveOptions(jobs=2))
-    assert serial.value == parallel.value == 3
-    assert serial.exhaustive == parallel.exhaustive
-    assert serial.witness.spine == parallel.witness.spine
-    assert serial.witness.pages == parallel.witness.pages
-
-
 def test_max_pages_cap():
     res = exact_mbt(complete(4), SolveOptions(max_pages=3))
     assert res.value is None and res.witness is None and not res.exhaustive
 
 
 def test_timeout_returns_upper_bound():
-    for jobs in (1, 2):
-        res = exact_mbt(complete_bipartite(3, 3), SolveOptions(timeout_s=0.0, jobs=jobs))
-        assert res.stats.timed_out and not res.exhaustive
-        assert res.value is not None and res.value == res.witness.page_count
-        assert validate(res.witness).valid
+    res = exact_mbt(complete_bipartite(3, 3), SolveOptions(timeout_s=0.0))
+    assert res.stats.timed_out and not res.exhaustive
+    assert res.value is not None and res.value == res.witness.page_count
+    assert validate(res.witness).valid
 
 
 @pytest.mark.parametrize("cap", [4.5, -3, "5", True])
@@ -319,15 +308,6 @@ def test_starved_order_budget_never_claims_exactness(monkeypatch):
     assert not res.exhaustive
     assert res.value is not None and validate(res.witness).valid
     assert res.value >= 3
-
-
-def test_parallel_matches_serial_on_q3():
-    g = hypercube(3)
-    serial = exact_mbt(g, SolveOptions(jobs=1))
-    parallel = exact_mbt(g, SolveOptions(jobs=3))
-    assert serial.value == parallel.value == 3
-    assert serial.exhaustive and parallel.exhaustive
-    assert serial.witness.spine == parallel.witness.spine
 
 
 @pytest.mark.parametrize("p,q", [(4, 3), (3, 4)])
@@ -590,46 +570,37 @@ def _corpus_graph(name):
     return Graph(entry["n"], tuple(map(tuple, entry["edges"])), name=name)
 
 
-# value, nodes, orders, per-level orders, witness spine and (clique-,
-# parity-refuted prefixes) of exact_mbt on committed corpus graphs; any
-# change to the branching of the kernel or of the prefix search moves the
-# node or order counts, and a prune weakened or switched off moves the
-# refutations: with the twin rule off K8-3e reads (131, 160), R7-90
-# (704, 300) and K4,4 (0, 63)
+# value, nodes, orders, per-level orders, witness spine, (clique-,
+# parity-refuted prefixes) and placements of exact_mbt on committed corpus
+# graphs; any change to the branching of the kernel or of the prefix search
+# moves the node or order counts, and a prune weakened or switched off moves
+# the refutations and placements: with the twin rule off K8-3e reads
+# (131, 160) and 277 placements, R7-90 (704, 300) and 1,104, and K4,4
+# (0, 63) and 23. Parity is tried first, so a prefix that both rules refute counts
+# as parity's, and any change to what either rule sees moves the split
 GOLDEN = {
-    "R7-267": (5, 59, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6), (330, 562)),
-    "K6-e": (6, 14, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5), (0, 3)),
-    "Q3": (3, 12, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7), (0, 2)),
-    "Petersen": (4, 15, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8), (6, 0)),
-    "K3xC3": (5, 35, 2, {5: 2}, (0, 1, 2, 3, 4, 5, 6, 8, 7), (0, 0)),
-    # twin-rich graphs: the twin rule lowers their nodes and refutations,
-    # never their orders
-    "K8-e": (8, 27, 2521, {7: 2520, 8: 1}, (0, 1, 2, 3, 4, 5, 6, 7), (0, 3)),
-    "K8-3e": (7, 25, 1009, {7: 1009}, (0, 2, 4, 6, 5, 3, 1, 7), (32, 38)),
-    "K4,4": (4, 16, 1839, {4: 1839}, (0, 4, 1, 5, 2, 6, 3, 7), (0, 5)),
-    "R7-90": (5, 17, 9531, {5: 9531}, (0, 3, 1, 4, 6, 5, 7, 2, 8), (404, 178)),
+    "R7-267": (5, 59, 20166, {4: 20160, 5: 6}, (0, 1, 2, 3, 4, 5, 8, 7, 6), (330, 562), 683),
+    "K6-e": (6, 14, 61, {5: 60, 6: 1}, (0, 1, 2, 3, 4, 5), (0, 3), 11),
+    "Q3": (3, 12, 127, {3: 127}, (0, 1, 3, 2, 5, 4, 6, 7), (0, 2), 8),
+    "Petersen": (4, 15, 11, {4: 11}, (0, 1, 2, 3, 4, 5, 7, 9, 6, 8), (6, 0), 18),
+    "K3xC3": (5, 35, 2, {5: 2}, (0, 1, 2, 3, 4, 5, 6, 8, 7), (0, 0), 11),
+    # twin-rich graphs: the twin rule lowers their nodes, refutations and
+    # placements, never their orders
+    "K8-e": (8, 27, 2521, {7: 2520, 8: 1}, (0, 1, 2, 3, 4, 5, 6, 7), (0, 3), 13),
+    "K8-3e": (7, 25, 1009, {7: 1009}, (0, 2, 4, 6, 5, 3, 1, 7), (32, 38), 90),
+    "K4,4": (4, 16, 1839, {4: 1839}, (0, 4, 1, 5, 2, 6, 3, 7), (0, 5), 11),
+    "R7-90": (5, 17, 9531, {5: 9531}, (0, 3, 1, 4, 6, 5, 7, 2, 8), (404, 178), 699),
+    "R2-168": (5, 16, 20169, {4: 20160, 5: 9}, (0, 1, 2, 3, 4, 6, 7, 5, 8), (712, 690), 1213),
 }
 
 
-# clique- and parity-refuted prefixes of exact_mbt on corpus graphs; parity
-# is tried first, so a prefix that both rules refute counts as parity's,
-# and any change to what either rule sees moves the split
-REFUTED = {"R7-267": (330, 562), "R2-168": (712, 690)}
-
-
-@pytest.mark.parametrize("name", list(REFUTED))
-def test_exact_mbt_refutation_split(name):
-    s = exact_mbt(_corpus_graph(name)).stats
-    assert (s.clique_refuted, s.parity_refuted) == REFUTED[name]
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_exact_mbt_golden_counters(name, jobs):
-    res = exact_mbt(_corpus_graph(name), SolveOptions(jobs=jobs))
+def test_exact_mbt_golden_counters(name):
+    res = exact_mbt(_corpus_graph(name))
     s = res.stats
     refuted = (s.clique_refuted, s.parity_refuted)
-    assert (res.value, s.nodes, s.orders_tested, s.per_level, res.witness.spine, refuted) == GOLDEN[name]
+    got = (res.value, s.nodes, s.orders_tested, s.per_level, res.witness.spine, refuted, s.placements)
+    assert got == GOLDEN[name]
     assert res.exhaustive and validate(res.witness).valid
 
 
