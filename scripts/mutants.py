@@ -67,6 +67,8 @@ MUTANTS = [
            "the colour guard refuting at need classes"),
     Mutant(SOLVER, "if cand.bit_count() >= want - 1:", "if cand.bit_count() >= want:",
            "extend descending only with a candidate to spare, so it misses a clique with none"),
+    Mutant(SOLVER, "if cand.bit_count() < want:", "if cand.bit_count() < want - 1:",
+           "extend keeping a depth with one candidate too few, so it takes more steps"),
     # the counted bound
     Mutant(SOLVER, "if -(-m // (size // 2)) > best:", "if -(-m // (size // 2)) >= best:",
            "overfull_bound keeping the last set of the largest count, not the first"),

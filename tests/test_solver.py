@@ -604,6 +604,20 @@ def test_exact_mbt_golden_counters(name):
     assert res.exhaustive and validate(res.witness).valid
 
 
+# clique-search steps behind the refutation split of the two graphs on which
+# both rules refute hundreds of prefixes; a clique search that keeps a depth
+# with one candidate too few takes more steps (R7-267 2,908, R2-168 4,639)
+# and moves no refutation, placement or answer
+CLIQUE_STEPS = {"R7-267": 2351, "R2-168": 3911}
+
+
+@pytest.mark.parametrize("name", list(CLIQUE_STEPS))
+def test_exact_mbt_refutation_split(name):
+    s = exact_mbt(_corpus_graph(name)).stats
+    assert (s.clique_refuted, s.parity_refuted) == GOLDEN[name][5]
+    assert s.clique_steps == CLIQUE_STEPS[name]
+
+
 @pytest.mark.parametrize(
     "entry", json.loads(CORPUS_FILE.read_text())["solve-refute"], ids=lambda e: e["name"]
 )
