@@ -21,7 +21,7 @@ from pathlib import Path
 from . import formats
 from .graphs import FAMILIES, cartesian_product
 from .layout import validate
-from .options import SolveOptions
+from .options import SCHEME_SOLVER, SolveOptions
 
 EXIT_OK = 0
 EXIT_UNSOLVED = 1
@@ -84,12 +84,12 @@ def _cmd_embed(args) -> int:
         if method == "auto":
             outcome = constructions.auto_embedding(g, opts)
         elif method == "solver":
-            outcome = constructions.construct(g, constructions.SCHEME_SOLVER, opts)
+            outcome = constructions.construct(g, SCHEME_SOLVER, opts)
         elif method.startswith("construction:"):
             scheme = method.split(":", 1)[1]
             known = _construction_schemes()
             if scheme not in known:
-                if scheme in ("auto", constructions.SCHEME_SOLVER):
+                if scheme in ("auto", SCHEME_SOLVER):
                     hint = f"use --method {scheme}"
                 else:
                     hint = "known: " + ", ".join(known)
@@ -145,8 +145,6 @@ def _cmd_solve(args) -> int:
     }
     sys.stdout.write(formats.dumps(out))
     if args.output and res.witness is not None:
-        from .constructions import SCHEME_SOLVER
-
         formats.save_embedding(res.witness, args.output, scheme=SCHEME_SOLVER)
     return EXIT_OK if res.value is not None and res.exhaustive else EXIT_UNSOLVED
 
@@ -181,7 +179,7 @@ def _add_solver_flags(sp) -> None:
 
 def _construction_schemes() -> list[str]:
     """The schemes of ``constructions.SCHEMES`` that ``construction:`` takes."""
-    from .constructions import SCHEME_SOLVER, SCHEMES
+    from .constructions import SCHEMES
 
     return [s for s in SCHEMES if s != SCHEME_SOLVER]
 

@@ -32,7 +32,7 @@ from .graphs import (
     path,
 )
 from .layout import BookEmbedding, MalformedEmbeddingError, ValidationReport, validate
-from .options import SolveOptions
+from .options import SCHEME_SOLVER, SolveOptions
 
 SCHEME_COMPLETE = "complete-congruence"
 SCHEME_EVEN_CYCLE = "even-cycle"
@@ -40,7 +40,6 @@ SCHEME_PATH = "path"
 SCHEME_PRODUCT = "product-lemma2.5"
 SCHEME_KPCQ_ODD = "kpcq-odd-direct"
 SCHEME_KPCQ_EVEN = "kpcq-even-product"
-SCHEME_SOLVER = "solver"
 
 
 class ConstructionError(RuntimeError):

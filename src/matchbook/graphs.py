@@ -175,7 +175,6 @@ def bipartition(g: Graph) -> BipartitionResult:
     adj = adjacency(g)
     color = [-1] * g.n
     parent = [-1] * g.n
-    depth = [0] * g.n
     for root in range(g.n):
         if color[root] != -1:
             continue
@@ -187,31 +186,26 @@ def bipartition(g: Graph) -> BipartitionResult:
                 if color[w] == -1:
                     color[w] = color[u] ^ 1
                     parent[w] = u
-                    depth[w] = depth[u] + 1
                     queue.append(w)
                 elif color[w] == color[u]:
-                    return BipartitionResult(odd_cycle=_close_cycle(u, w, parent, depth))
+                    return BipartitionResult(odd_cycle=_close_cycle(u, w, parent))
     return BipartitionResult(coloring=tuple(color))
 
 
-def _close_cycle(u: int, w: int, parent: list[int], depth: list[int]) -> tuple[int, ...]:
+def _close_cycle(u: int, w: int, parent: list[int]) -> tuple[int, ...]:
     # walk both endpoints of the offending edge up to their lowest common
-    # ancestor; the two tree paths plus the edge (w, u) form an odd cycle
+    # ancestor; the two tree paths plus the edge (w, u) form an odd cycle.
+    # The colour is the parity of the BFS depth, and adjacent vertices'
+    # depths differ by at most one, so u and w, of one colour, sit at one
+    # depth and climb in step
     pu: list[int] = []
     pw: list[int] = []
-    uu, ww = u, w
-    while depth[uu] > depth[ww]:
-        pu.append(uu)
-        uu = parent[uu]
-    while depth[ww] > depth[uu]:
-        pw.append(ww)
-        ww = parent[ww]
-    while uu != ww:
-        pu.append(uu)
-        uu = parent[uu]
-        pw.append(ww)
-        ww = parent[ww]
-    return tuple(pu + [uu] + list(reversed(pw)))
+    while u != w:
+        pu.append(u)
+        u = parent[u]
+        pw.append(w)
+        w = parent[w]
+    return tuple(pu + [u] + list(reversed(pw)))
 
 
 def delete_edge(g: Graph, e: Edge) -> Graph:

@@ -1,13 +1,16 @@
-"""Options of the exact solver.
+"""Options of the exact solver, and the name of the solver's scheme.
 
 They live apart from ``solver`` so that ``embed`` can pass them to a
-construction without loading the solver; ``solver.SolveOptions`` is the
-same class.
+construction without loading the solver, and ``solve -o`` can name its
+witness's scheme without loading the constructions; ``solver.SolveOptions``
+and ``constructions.SCHEME_SOLVER`` are the same objects.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+SCHEME_SOLVER = "solver"
 
 
 class SolveOptions(NamedTuple):

@@ -11,45 +11,6 @@ from itertools import combinations, permutations
 from itertools import product as iproduct
 
 
-def brute_valid(spine, edges, pages) -> bool:
-    """Check every same-page edge pair and every (vertex, page) bucket."""
-    where = {v: i for i, v in enumerate(spine)}
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if pages[i] != pages[j]:
-                continue
-            e, f = edges[i], edges[j]
-            if set(e) & set(f):
-                return False  # two edges at one vertex on one page
-            a, b = sorted((where[e[0]], where[e[1]]))
-            c, d = sorted((where[f[0]], where[f[1]]))
-            if (a < c < b < d) or (c < a < d < b):
-                return False
-    return True
-
-
-def brute_violation_count(spine, edges, pages) -> int:
-    where = {v: i for i, v in enumerate(spine)}
-    count = 0
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if pages[i] != pages[j]:
-                continue
-            e, f = edges[i], edges[j]
-            if set(e) & set(f):
-                continue
-            a, b = sorted((where[e[0]], where[e[1]]))
-            c, d = sorted((where[f[0]], where[f[1]]))
-            if (a < c < b < d) or (c < a < d < b):
-                count += 1
-    buckets: dict[tuple[int, int], int] = {}
-    for e, p in zip(edges, pages):
-        for v in e:
-            buckets[(p, v)] = buckets.get((p, v), 0) + 1
-    count += sum(1 for c in buckets.values() if c >= 2)
-    return count
-
-
 def _interleave(where, e, f) -> bool:
     a, b = sorted((where[e[0]], where[e[1]]))
     c, d = sorted((where[f[0]], where[f[1]]))
@@ -102,13 +63,13 @@ def brute_violations(spine, edges, pages) -> list[tuple]:
 
 
 def brute_feasible(edges, spine, k: int) -> bool:
-    """Try all k^m page assignments (only sensible for tiny m)."""
-    if not edges:
-        return True
-    for assignment in iproduct(range(k), repeat=len(edges)):
-        if brute_valid(spine, edges, assignment):
-            return True
-    return False
+    """Try all k^m page assignments (only sensible for tiny m): one is
+    feasible when no two conflicting edges share a page."""
+    masks = brute_conflict_masks(spine, edges)
+    return any(
+        all(pages[i] != pages[j] for i in range(len(edges)) for j in range(i) if masks[i] >> j & 1)
+        for pages in iproduct(range(k), repeat=len(edges))
+    )
 
 
 def brute_chromatic_index(edges) -> int:

@@ -24,6 +24,7 @@ from matchbook.graphs import FAMILIES, Graph, complete, complete_bipartite, cycl
 from matchbook.layout import BookEmbedding, validate
 from graph_files import save_graph
 from oracles import overfull_count
+from test_solver import GOLDEN
 
 CORPUS_FILE = Path(__file__).parent.parent / "perfbench" / "corpus.json"
 
@@ -155,6 +156,8 @@ def test_embed_unknown_scheme_is_usage_error(capsys, tmp_path):
     # every scheme offered is taken after construction:, though not every one applies to C5
     for scheme in known:
         assert "unknown scheme" not in run(capsys, "embed", str(gp), "--method", f"construction:{scheme}")[2]
+    # a method that is neither auto, solver nor construction:<scheme>
+    assert run(capsys, "embed", str(gp), "--method", "foo") == (2, "", "error: unknown method 'foo'\n")
 
 
 @pytest.mark.parametrize("scheme", ["auto", "solver"])
@@ -438,7 +441,10 @@ def test_render_unwritable_path(capsys, tmp_path):
 
 
 def test_missing_file_is_usage_error(capsys):
-    assert run(capsys, "solve", "/nonexistent/graph.json")[0] == 2
+    code, out, err = run(capsys, "solve", "/nonexistent/graph.json")
+    assert (code, out) == (2, "") and err.startswith("io error: ") and err.count("\n") == 1
+    # --quiet drops the one diagnostic, and the exit code stays
+    assert run(capsys, "solve", "/nonexistent/graph.json", "--quiet") == (2, "", "")
 
 
 def test_embed_stdout_is_embedding_doc(capsys, tmp_path):
@@ -514,12 +520,13 @@ def test_solve_kpcq_3_3(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", str(gp))
     assert code == 0
     res = json.loads(out)
-    assert res["value"] == 5 and res["exhaustive"]
-    stats = solver.exact_mbt(kpcq(3, 3)).stats
-    counters = ("nodes", "kernel_calls", "clique_refuted", "clique_steps", "parity_refuted", "placements")
-    assert [res["stats"][key] for key in counters] == [getattr(stats, key) for key in counters]
+    assert res["exhaustive"]
     # no prefix is settled by a repaired colouring any more; the key stays
-    assert res["stats"]["repaired"] == 0
+    stats = res["stats"]
+    assert stats.pop("repaired") == 0
+    # every other counter as pinned for the corpus's K3xC3, which is kpcq(3, 3)
+    stats["per_level"] = {int(k): v for k, v in stats["per_level"].items()}
+    assert (res["value"], tuple(res["witness"]["spine"]), *stats.values()) == GOLDEN["K3xC3"]
 
 
 def test_embed_unresolved_and_fallback_solver(capsys, tmp_path):
@@ -714,12 +721,14 @@ def _loaded_by(argv, cwd):
         pytest.param(["embed", "k.json"], {"constructions"}, id="embed-kpcq"),
         pytest.param(["embed", "c5.json"], {"constructions", "solver"}, id="embed-by-solver"),
         pytest.param(["solve", "c5.json"], {"solver"}, id="solve"),
+        pytest.param(["solve", "c5.json", "-o", "c5.emb.json"], {"solver"}, id="solve-o"),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
     # a fresh interpreter per command: gen and verify need no construction,
-    # solver or renderer, an embedding by a construction needs no solver,
-    # and no command builds its records through dataclasses
+    # solver or renderer, an embedding by a construction needs no solver, a
+    # solve that writes its witness needs no construction, and no command
+    # builds its records through dataclasses
     save_graph(kpcq(4, 3), tmp_path / "k.json")
     save_embedding(kpcq_embedding(4, 3).embedding, tmp_path / "e.json")
     save_graph(Graph(5, cycle(5).edges), tmp_path / "c5.json")  # untagged: the solver embeds it

@@ -172,19 +172,6 @@ def test_kpcq_dispatcher():
         kpcq_embedding(2, 3)
 
 
-@pytest.mark.parametrize("p", range(4, 9))
-@pytest.mark.parametrize("q", range(3, 9))
-def test_kpcq_grid(p, q):
-    out = kpcq_embedding(p, q)
-    rep = validate(out.embedding)
-    assert rep.valid
-    assert out.embedding.page_count == p + 2 == max_degree(out.embedding.graph) + 1
-    if q % 2 == 0:
-        assert out.scheme == cons.SCHEME_KPCQ_EVEN
-    else:
-        assert out.scheme == cons.SCHEME_KPCQ_ODD
-
-
 def test_kpcq_direct_scheme_wide_grid():
     # the snake scheme alone meets the max degree + 1 bound, p = 3 included
     for p in range(3, 16):
@@ -281,6 +268,10 @@ def test_a_product_solves_its_factors_within_one_timeout(monkeypatch):
     g = cartesian_product(Graph(4, complete(4).edges), Graph(4, cycle(4).edges))
     assert construct(g, "auto", SolveOptions(timeout_s=1.0)).scheme == cons.SCHEME_PRODUCT
     assert budgets == pytest.approx([1.0, 0.4])
+    # with no timeout every solve gets the options as they are
+    budgets.clear()
+    assert construct(g, "auto", SolveOptions(timeout_s=None)).scheme == cons.SCHEME_PRODUCT
+    assert budgets == [None, None]
 
 
 def test_a_product_fallback_gets_what_the_witness_solve_left(monkeypatch):

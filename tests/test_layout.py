@@ -15,13 +15,7 @@ from matchbook.layout import (
     validate,
 )
 from matchbook.solver import first_fit_pages
-from oracles import (
-    brute_valid,
-    brute_violation_count,
-    brute_violations,
-    reflect_spine,
-    rotate_spine,
-)
+from oracles import brute_violations, reflect_spine, rotate_spine
 from strategies import embeddings
 
 
@@ -166,14 +160,6 @@ def test_verdict_invariant_under_rotation_and_reflection(emb, k):
     assert validate(reflect_spine(emb)).valid == base
 
 
-@given(embeddings(max_n=12))
-def test_validator_agrees_with_brute_force(emb):
-    rep = validate(emb)
-    g = emb.graph
-    assert rep.valid == brute_valid(emb.spine, g.edges, emb.pages)
-    assert len(rep.violations) == brute_violation_count(emb.spine, g.edges, emb.pages)
-
-
 def _as_tuple(v):
     if isinstance(v, Crossing):
         return ("crossing", v.page, *v.edges)
@@ -184,24 +170,12 @@ def _as_tuple(v):
 @settings(max_examples=300)
 def test_violations_equal_brute_force(emb):
     # the exact list, in order: it is what `verify` prints and `render
-    # --force` draws
+    # --force` draws; valid means that no page has a crossing and every
+    # page is a matching
     rep = validate(emb)
     expected = brute_violations(emb.spine, emb.graph.edges, emb.pages)
     assert [_as_tuple(v) for v in rep.violations] == expected
-
-
-@given(embeddings(max_n=9))
-def test_valid_pages_are_matchings(emb):
-    # the matching rule is literally "every page is a matching"
-    rep = validate(emb)
-    if rep.valid:
-        for page in range(emb.page_count):
-            seen = set()
-            for edge, p in zip(emb.graph.edges, emb.pages):
-                if p != page:
-                    continue
-                assert not set(edge) & seen
-                seen.update(edge)
+    assert rep.valid == (expected == [])
 
 
 def test_violations_sorted_canonically():
