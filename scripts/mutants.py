@@ -7,12 +7,15 @@ a fresh temporary copy of the tree, without .git and .perfbench, and
 tier-1 runs in that copy with -x, so the first failing test is the one
 named. Every line reads `<file>: <why>: killed by <test>` or `...:
 survived`. A mutant marked equivalent carries the reason it cannot change
-behaviour, and its survival proves nothing about the tests.
+behaviour, and its survival proves nothing about the tests. A mutant whose
+first failure is a test module that does not import (an `ERROR <file>`
+line with no `::`) reads `killed at collection of <file>`: no test ran on
+it, so it counts as a survivor does.
 
 Before any test runs, every old text must occur exactly once in its
 file, so a list that the code has outgrown fails at once. The script
 exits 1 when an old text does not occur exactly once, or when a mutant
-that is not marked equivalent survives.
+that is not marked equivalent survives or is killed at collection.
 
 Usage:
   python3 scripts/mutants.py
@@ -75,8 +78,8 @@ MUTANTS = [
     Mutant(SOLVER, "d = max(d - 1, 0)", "d = 0",
            "the peel rescans the degree buckets from 0, and no bucket below d - 1 holds a vertex", True),
     Mutant(SOLVER, "return int(v > second), 0", "return int(v >= second), 0",
-           "at a full spine v is free and second = spine[1] is placed (d > 1, as mirroring needs n >= 3), "
-           "so v never equals second", True),
+           "at a full spine v is free and second = spine[1] is placed (d > 1, as a level is scanned "
+           "under symmetry only when n >= 3), so v never equals second", True),
     # the crossing rule and the validator
     Mutant(LAYOUT, "return odd[b] ^ odd[a + 1]", "return odd[b - 1] ^ odd[a + 1]",
            "the crossing rule drops the vertex just before b"),
@@ -120,6 +123,8 @@ def outcome(mutant: Mutant, tests=()) -> str:
               if line.startswith(("FAILED ", "ERROR "))]
     if out.returncode == 0:
         result = "survived (equivalent)" if mutant.equivalent else "survived"
+    elif failed and "::" not in failed[0]:
+        result = f"killed at collection of {failed[0]}"
     else:
         result = f"killed by {failed[0]}" if failed else f"killed (pytest exit {out.returncode})"
     return f"{mutant.file}: {mutant.why}: {result}"
@@ -129,13 +134,14 @@ def main() -> int:
     if bad := stale():
         print("\n".join(bad))
         return 1
-    survivors = 0
+    survivors = collected = 0
     for m in MUTANTS:
         line = outcome(m)
         survivors += line.endswith(": survived")
+        collected += ": killed at collection of " in line
         print(line, flush=True)
-    print(f"{len(MUTANTS)} mutants, {survivors} not equivalent and survived")
-    return 1 if survivors else 0
+    print(f"{len(MUTANTS)} mutants, {survivors} not equivalent and survived, {collected} killed at collection")
+    return 1 if survivors or collected else 0
 
 
 if __name__ == "__main__":

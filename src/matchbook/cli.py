@@ -78,25 +78,15 @@ def _cmd_embed(args) -> int:
     from . import constructions
 
     g = formats.load_graph(args.graph)
-    opts = _solve_options(args)
-    method = args.method
+    scheme = args.method.removeprefix("construction:")
+    if scheme == args.method:
+        if scheme not in ("auto", SCHEME_SOLVER):
+            raise ValueError(f"unknown method {scheme!r}")
+    elif scheme not in (known := _construction_schemes()):
+        hint = f"use --method {scheme}" if scheme in ("auto", SCHEME_SOLVER) else "known: " + ", ".join(known)
+        raise ValueError(f"unknown scheme {scheme!r} after construction:; {hint}")
     try:
-        if method == "auto":
-            outcome = constructions.auto_embedding(g, opts)
-        elif method == "solver":
-            outcome = constructions.construct(g, SCHEME_SOLVER, opts)
-        elif method.startswith("construction:"):
-            scheme = method.split(":", 1)[1]
-            known = _construction_schemes()
-            if scheme not in known:
-                if scheme in ("auto", SCHEME_SOLVER):
-                    hint = f"use --method {scheme}"
-                else:
-                    hint = "known: " + ", ".join(known)
-                raise ValueError(f"unknown scheme {scheme!r} after construction:; {hint}")
-            outcome = constructions.construct(g, scheme, opts)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        outcome = constructions.construct(g, scheme, _solve_options(args))
     except constructions.ConstructionUnresolved as exc:
         _err(args, f"unresolved: {exc}")
         sys.stdout.write(formats.dumps({"unresolved": True, "reason": str(exc)}))
@@ -116,11 +106,11 @@ def _cmd_embed(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = formats.load_graph(args.graph)
-    doc = formats.load_embedding(args.embedding)
-    if doc.embedding.graph != g:
+    emb = formats.load_embedding(args.embedding)
+    if emb.graph != g:
         _err(args, "embedding references a different graph (canonical forms differ)")
         return EXIT_USAGE
-    rep = validate(doc.embedding)
+    rep = validate(emb)
     violations = [{"kind": v.kind, **v._asdict()} for v in rep.violations]
     sys.stdout.write(formats.dumps({**rep._asdict(), "violations": violations}))
     return EXIT_OK if rep.valid else EXIT_UNSOLVED
@@ -153,15 +143,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    doc = formats.load_embedding(args.embedding)
-    rep = validate(doc.embedding)
+    emb = formats.load_embedding(args.embedding)
+    rep = validate(emb)
     if not rep.valid and not args.force:
         _err(args, f"embedding is invalid ({len(rep.violations)} violations); use --force to render")
         return EXIT_UNSOLVED
     from .render import render_svg
 
-    svg = render_svg(doc.embedding, rep, split_pages=args.split_pages)
-    _emit(args, svg, {"page_count": doc.embedding.page_count})
+    svg = render_svg(emb, rep, split_pages=args.split_pages)
+    _emit(args, svg, {"page_count": emb.page_count})
     return EXIT_OK
 
 

@@ -9,9 +9,9 @@ the same). A product orients each block copy by the right factor's
 bipartition, so its right factor is just an embedding in max-degree
 pages. ``SCHEMES`` is the one map from a family tag to a scheme:
 ``kpcq_embedding`` and a product's right-factor witness are both a
-graph's ``auto`` embedding. Every embedding is validated once in
-``construct`` before it is returned; the constructors themselves check
-only the embeddings a caller hands them.
+graph's ``auto`` embedding. ``construct`` validates the embedding it
+returns, and ``product_embedding`` the two factor embeddings it is handed,
+so a product whose factors ``construct`` embeds validates each one twice.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import NamedTuple
 
 from .graphs import FAMILIES, Graph, cartesian_product, n_left, product_labels
 from .layout import BookEmbedding, MalformedEmbeddingError, check_structure, is_int
@@ -130,11 +129,6 @@ def parse_graph_dict(doc, depth: int = 0) -> Graph:
     return g
 
 
-class EmbeddingDocument(NamedTuple):
-    embedding: BookEmbedding
-    scheme: str | None = None
-
-
 def embedding_to_dict(emb: BookEmbedding, scheme: str | None = None) -> dict:
     doc = {
         "type": "embedding",
@@ -148,7 +142,7 @@ def embedding_to_dict(emb: BookEmbedding, scheme: str | None = None) -> dict:
     return doc
 
 
-def parse_embedding_dict(doc) -> EmbeddingDocument:
+def parse_embedding_dict(doc) -> BookEmbedding:
     if not isinstance(doc, dict):
         raise FormatError("embedding document must be a JSON object")
     g = parse_graph_dict(doc.get("graph"))
@@ -159,15 +153,14 @@ def parse_embedding_dict(doc) -> EmbeddingDocument:
     page_count = doc.get("page_count")
     if not is_int(page_count):
         raise FormatError("field 'page_count' must be an integer")
-    scheme = doc.get("scheme")
-    if scheme is not None and not isinstance(scheme, str):
+    if doc.get("scheme") is not None and not isinstance(doc["scheme"], str):
         raise FormatError("field 'scheme' must be a string")
     emb = BookEmbedding(g, tuple(spine), tuple(pages), page_count)
     try:
         check_structure(emb)
     except MalformedEmbeddingError as exc:
         raise FormatError(str(exc)) from None
-    return EmbeddingDocument(emb, scheme)
+    return emb
 
 
 def dumps(doc: dict) -> str:
@@ -189,7 +182,7 @@ def parse_graph_text(text: str, depth: int = 0) -> Graph:
     return _parse(lambda doc: parse_graph_dict(doc, depth), text)
 
 
-def parse_embedding_text(text: str) -> EmbeddingDocument:
+def parse_embedding_text(text: str) -> BookEmbedding:
     return _parse(parse_embedding_dict, text)
 
 
@@ -198,7 +191,7 @@ def load_graph(path: str | Path, depth: int = 0) -> Graph:
     return parse_graph_text(Path(path).read_text(), depth)
 
 
-def load_embedding(path: str | Path) -> EmbeddingDocument:
+def load_embedding(path: str | Path) -> BookEmbedding:
     return parse_embedding_text(Path(path).read_text())
 
 

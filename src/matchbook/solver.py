@@ -179,16 +179,8 @@ def color_graph(
             used += 1
 
 
-def _require_spine(g: Graph, spine) -> tuple[int, ...]:
-    spine = tuple(spine)
-    if sorted(spine) != list(range(g.n)):
-        raise ValueError("spine is not a permutation of the graph's vertices")
-    return spine
-
-
-def first_fit_pages(g: Graph, spine) -> tuple[int, ...]:
+def first_fit_pages(g: Graph, spine: tuple[int, ...]) -> tuple[int, ...]:
     """Greedy page assignment in canonical edge order; always valid."""
-    spine = _require_spine(g, spine)
     members: list[int] = []  # per page, the edges already on it
     pages = []
     for i, mask in enumerate(conflict_masks(g, spine)):
@@ -305,8 +297,10 @@ class SolveStats:
     clique refuted, ``clique_steps`` the steps of the clique search,
     ``parity_refuted`` the prefixes that page parity refuted, inside or
     outside the edge they closed, and ``placements`` the calls to
-    ``_PrefixSearch.place``, each level's pinned root included. ``solve``
-    prints every slot but ``elapsed_s``, in this order, as its ``stats``.
+    ``_PrefixSearch.place``, each level's pinned root included. ``per_level``
+    counts each level's orders as they are settled; ``orders_tested``, their
+    sum, is set when the scan ends, on a timeout too. ``solve`` prints every
+    slot but ``elapsed_s``, in this order, as its ``stats``.
     """
 
     __slots__ = (
@@ -362,9 +356,9 @@ class _PrefixSearch:
     entries at d+1, which a later sibling overwrites; ``pos`` is read only
     at the placed end of an edge with one end placed, so never stale. No stored masks list
     changes: ``masks[d+1]`` is the parent's when the placement decided no
-    new conflict, else a copy. A level is one search, in this process, so
-    its result and counters do not depend on ``SolveOptions.jobs``. It
-    counts its effort into the solve's ``stats``, its orders in ``settled``.
+    new conflict, else a copy. A level is one search, in this process, so its
+    result and counters do not depend on ``SolveOptions.jobs``. It counts its
+    effort into the solve's ``stats``, its orders in ``stats.per_level[k]``.
 
     Under symmetry, twins are placed in increasing order. Twins are
     u ≠ v with N(u)∖{v} = N(v)∖{u}, so the swap (u v) is an automorphism
@@ -432,8 +426,7 @@ class _PrefixSearch:
         self.n, self.edges = g.n, g.edges
         self.inc = incidence(self.n, self.edges)
         self.k = k
-        self.pinned = symmetry and self.n >= 1
-        self.mirror = symmetry and self.n >= 3
+        self.symmetry = symmetry
         self.near = near = [0] * self.n  # each vertex's neighbours
         for a, b in self.edges:
             near[a] |= 1 << b
@@ -452,7 +445,7 @@ class _PrefixSearch:
         self.masks = [endpoint_conflict_masks(g)] * (g.n + 1)
         self.deadline = deadline
         self.stats = stats
-        self.settled = 0  # orders refuted or tested so far
+        stats.per_level[k] = 0
         self.unknown = False
 
     def place(self, d: int, v: int) -> list[tuple[int, int]]:
@@ -499,7 +492,7 @@ class _PrefixSearch:
     def leaves(self, d: int, v: int) -> tuple[int, int]:
         """(c, f): c·f! canonical spine orders extend spine[:d] by v."""
         rest = self.n - d - 1
-        if not self.mirror:
+        if not self.symmetry:
             return 1, rest
         # the order is canonical when its last vertex exceeds its second
         second = self.spine[1] if d > 1 else v
@@ -578,13 +571,16 @@ class _PrefixSearch:
         one on. Each child is settled where it is reached: skipped as a twin,
         refuted by parity or ``clique``, coloured by the kernel when its
         spine is full, or else pushed. The root is never a full spine, as
-        ``exact_mbt`` scans no level of a graph with fewer than 3 vertices.
+        ``exact_mbt`` scans no level of a graph with fewer than 3 vertices
+        (connected, its greedy upper bound is its lower bound). So one
+        ``symmetry`` flag serves both canonical rules, though pinning vertex 0
+        first needs one vertex and keeping the second below the last, three.
         """
         n, k, twin, stats, deadline = self.n, self.k, self.twin, self.stats, self.deadline
-        free, masks = self.free, self.masks
-        if self.pinned:
+        free, masks, per_level = self.free, self.masks, stats.per_level
+        if self.symmetry:
             self.place(0, 0)  # the root is vertex 0, and depth 0 has no other vertex to try
-        stack = [n, 0] if self.pinned else [0]
+        stack = [n, 0] if self.symmetry else [0]
         while stack:
             d = len(stack) - 1
             rest = free[d] >> stack[d] << stack[d]
@@ -601,7 +597,7 @@ class _PrefixSearch:
                         break
                     stats.parity_refuted += 1
                 # a smaller twin is free, or page parity refutes v
-                self.settled += ways[0] * factorial(ways[1])
+                per_level[k] += ways[0] * factorial(ways[1])
             else:
                 stack.pop()
                 continue
@@ -611,11 +607,11 @@ class _PrefixSearch:
             grown = self.place(d, v)
             if grown and self.clique(masks[d + 1], grown):
                 stats.clique_refuted += 1
-                self.settled += ways[0] * factorial(ways[1])
+                per_level[k] += ways[0] * factorial(ways[1])
             elif d + 1 < n:
                 stack.append(0)
             else:
-                self.settled += 1
+                per_level[k] += 1
                 out = color_graph(masks[n], k, DEFAULT_ORDER_NODES, deadline)
                 stats.kernel_calls += 1
                 stats.nodes += out.nodes
@@ -626,22 +622,6 @@ class _PrefixSearch:
                         raise _Timeout
                     self.unknown = True
         return None
-
-
-def _scan_level(g: Graph, k: int, opts: SolveOptions, deadline: float | None, stats: SolveStats):
-    """Searches the spine orders at page budget k.
-
-    Returns (found, any_unknown); found is (spine, pages) for the earliest
-    feasible order in enumeration sequence. Stats count the orders settled
-    up to that one, or up to the deadline.
-    Raises _Timeout once the deadline has passed.
-    """
-    search = _PrefixSearch(g, k, opts.symmetry, deadline, stats)
-    try:
-        return search.run(), search.unknown
-    finally:
-        stats.orders_tested += search.settled
-        stats.per_level[k] = search.settled
 
 
 def exact_mbt(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
@@ -671,13 +651,15 @@ def exact_mbt(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
     exhaustive = True
     try:
         for k in range(cert.value, upper if cap is None else min(upper, cap + 1)):
-            found, unknown = _scan_level(g, k, opts, deadline, stats)
+            search = _PrefixSearch(g, k, opts.symmetry, deadline, stats)
+            found = search.run()
             if found is not None:
                 spine, pages = found
                 break
-            exhaustive = exhaustive and not unknown
+            exhaustive = exhaustive and not search.unknown
     except _Timeout:
         stats.timed_out, exhaustive = True, False
+    stats.orders_tested = sum(stats.per_level.values())
     stats.elapsed_s = time.monotonic() - start
     value = max(pages, default=-1) + 1
     if cap is not None and value > cap:

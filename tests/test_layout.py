@@ -14,7 +14,6 @@ from matchbook.layout import (
     straddling,
     validate,
 )
-from matchbook.solver import first_fit_pages
 from oracles import brute_violations, reflect_spine, rotate_spine
 from strategies import embeddings
 
@@ -67,8 +66,6 @@ def test_edges_cross_unknown_endpoint():
     g = Graph(6, ((0, 5), (1, 2)))
     with pytest.raises(MalformedEmbeddingError, match="permutation"):
         validate(BookEmbedding(g, (0, 1, 2), (0, 0), 1))
-    with pytest.raises(ValueError, match="permutation"):
-        first_fit_pages(g, (0, 1, 2))
 
 
 @given(st.permutations(range(6)))

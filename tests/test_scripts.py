@@ -183,6 +183,15 @@ def test_mutants_names_the_test_that_kills_a_mutant(request, monkeypatch, capsys
     assert mutants.main() == 1
     assert capsys.readouterr().out == \
         "src/matchbook/solver.py: the twin rule switched off (every twin left -1): the old text occurs 0 times, not once\n"
+    # a test module that no longer imports kills a mutant before any test
+    # runs on it, which names no test and counts as a survivor does
+    renamed = mutants.Mutant(mutants.LAYOUT, "def straddling(", "def straddles(", "straddling renamed")
+    line = "src/matchbook/layout.py: straddling renamed: killed at collection of tests/test_layout.py"
+    assert mutants.outcome(renamed, ["tests/test_layout.py::test_edges_cross_symmetry"]) == line
+    monkeypatch.setattr(mutants, "MUTANTS", [renamed])
+    monkeypatch.setattr(mutants, "outcome", lambda m: line)
+    assert mutants.main() == 1
+    assert capsys.readouterr().out == f"{line}\n1 mutants, 0 not equivalent and survived, 1 killed at collection\n"
 
 
 def test_bench_cli_small_checks_out_traced_and_untraced(tmp_path, monkeypatch):

@@ -38,7 +38,6 @@ from matchbook.solver import (
     SolveStats,
     _PrefixSearch,
     _Timeout,
-    _scan_level,
     color_graph,
     conflict_masks,
     edge_chromatic_exact,
@@ -162,11 +161,6 @@ def test_feasible_pages_unknown_distinct_from_infeasible():
     # k is generous so an assignment exists, but five nodes cannot reach it
     out = feasible(kpcq(4, 4), range(16), 12, 5)
     assert out.status == UNKNOWN and out.colors is None
-
-
-def test_feasible_pages_rejects_bad_spine():
-    with pytest.raises(ValueError):
-        first_fit_pages(cycle(3), (0, 1))
 
 
 @given(graphs(min_n=2, max_n=6), st.integers(1, 3))
@@ -606,6 +600,26 @@ def test_exact_mbt_golden_counters(name):
     assert res.exhaustive and validate(res.witness).valid
 
 
+def test_a_timeout_inside_a_level_keeps_its_count(monkeypatch):
+    # R7-267 refutes all 20,160 orders of level 4 when it runs to the end; a
+    # clock that ticks once per reading passes the deadline partway through
+    # that level, and the orders settled before it still count
+    class Clock:
+        ticks = 0
+
+        @classmethod
+        def monotonic(cls):
+            cls.ticks += 1
+            return float(cls.ticks)
+
+    monkeypatch.setattr(solver, "time", Clock)
+    res = exact_mbt(_corpus_graph("R7-267"), SolveOptions(timeout_s=300))
+    s = res.stats
+    assert s.timed_out and not res.exhaustive
+    assert list(s.per_level) == [4] and 0 < s.per_level[4] < 20_160
+    assert s.orders_tested == sum(s.per_level.values()) == 13_904
+
+
 @pytest.mark.parametrize(
     "entry", json.loads(CORPUS_FILE.read_text())["solve-refute"], ids=lambda e: e["name"]
 )
@@ -932,13 +946,15 @@ def random_connected(count, seed):
 def test_prefix_scan_matches_flat_scan(g, symmetry):
     res = exact_mbt(g, SolveOptions(symmetry=symmetry))
     assert res.exhaustive
+    assert res.stats.orders_tested == sum(res.stats.per_level.values())
     everything = factorial(g.n - 1) // 2 if symmetry else factorial(g.n)
     for k in range(res.bound.value, res.value + 1):
         stats = SolveStats()
-        found, unknown = _scan_level(g, k, SolveOptions(symmetry=symmetry), None, stats)
+        search = _PrefixSearch(g, k, symmetry, None, stats)
+        found = search.run()
         expected, tested = flat_scan(g, k, symmetry)
-        assert found == expected and not unknown
-        assert stats.per_level == {k: tested} and stats.orders_tested == tested
+        assert found == expected and not search.unknown
+        assert stats.per_level == {k: tested}
         if k < res.value:
             assert found is None and tested == everything
         else:
@@ -962,8 +978,8 @@ def test_prefix_scan_below_the_bound(g, symmetry):
     # count every order without claiming an unknown
     k = lower_bound(g).value - 1
     stats = SolveStats()
-    found, unknown = _scan_level(g, k, SolveOptions(symmetry=symmetry), None, stats)
-    assert (found, unknown) == (None, False)
+    search = _PrefixSearch(g, k, symmetry, None, stats)
+    assert (search.run(), search.unknown) == (None, False)
     assert stats.per_level == {k: flat_scan(g, k, symmetry)[1]}
 
 
@@ -1011,9 +1027,10 @@ def test_kernel_colours_each_full_spine_once(g, symmetry, monkeypatch):
     calls = 0
     for k in range(res.bound.value, res.value + 1):
         stats = SolveStats()
-        found, unknown = _scan_level(g, k, SolveOptions(symmetry=symmetry), None, stats)
+        search = _PrefixSearch(g, k, symmetry, None, stats)
+        found = search.run()
         calls += stats.kernel_calls
-        assert (found is not None) == (k == res.value) and not unknown
+        assert (found is not None) == (k == res.value) and not search.unknown
     assert len(coloured) == len(set(coloured)) == calls
 
 
