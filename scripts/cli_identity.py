@@ -99,7 +99,7 @@ def cases(large: bool) -> list[list[str]]:
         ["solve", "deep.json"],
         ["solve", "c5.json"],
         ["solve", "c5.json", "-o", "c5.emb.json"],
-        ["solve", "k33.json", "--no-symmetry"],
+        ["solve", "k33.json"],
         ["solve", "refuted.json"],
         ["solve", "c5.json", "--max-pages", "2"],
         ["embed", "c5.json"],

@@ -59,7 +59,7 @@ MUTANTS = [
     # the twin rule
     Mutant(SOLVER, "if t < 0 or not free[d] >> t & 1:", "if t < 0 or free[d] >> t & 1:",
            "the twin skip inverted"),
-    Mutant(SOLVER, "        if symmetry:\n            last", "        if False:\n            last",
+    Mutant(SOLVER, "for v in range(self.n):", "for v in range(0):",
            "the twin rule switched off (every twin left -1)"),
     Mutant(SOLVER, "for hood in (near[v], near[v] | 1 << v):", "for hood in (near[v] | 1 << v,):",
            "twins by closed neighbourhood only"),
@@ -79,7 +79,7 @@ MUTANTS = [
            "the peel rescans the degree buckets from 0, and no bucket below d - 1 holds a vertex", True),
     Mutant(SOLVER, "return int(v > second), 0", "return int(v >= second), 0",
            "at a full spine v is free and second = spine[1] is placed (d > 1, as a level is scanned "
-           "under symmetry only when n >= 3), so v never equals second", True),
+           "only when n >= 3), so v never equals second", True),
     # the crossing rule and the validator
     Mutant(LAYOUT, "return odd[b] ^ odd[a + 1]", "return odd[b - 1] ^ odd[a + 1]",
            "the crossing rule drops the vertex just before b"),

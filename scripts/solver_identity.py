@@ -15,8 +15,8 @@ Identity mode (the default) solves:
     tree's generators;
   - RANDOM_GRAPHS seeded random connected graphs with n = 3-9.
 A labelling or scan-corpus graph whose edge set is already in the set is
-skipped. Each graph runs with symmetry on and off, max_pages None, b-1, b
-and b+1 for its counted bound b, and timeouts 0 and None. Every
+skipped. Each graph runs 8 option sets: max_pages None, b-1, b and b+1
+for its counted bound b, each with timeouts 0 and None. Every
 SolveResult field, every BoundCertificate field by name and every
 SolveStats field except elapsed_s is compared by its repr, so a value
 differs from one of another type (True from 1, 3 from 3.0), and the
@@ -76,8 +76,8 @@ class Tree:
         self.graphs = importlib.import_module(f"{name}.graphs")
         self.solver = importlib.import_module(f"{name}.solver")
 
-    def solve(self, n: int, edges, symmetry: bool, max_pages, timeout_s):
-        opts = self.solver.SolveOptions(max_pages=max_pages, timeout_s=timeout_s, symmetry=symmetry)
+    def solve(self, n: int, edges, max_pages, timeout_s):
+        opts = self.solver.SolveOptions(max_pages=max_pages, timeout_s=timeout_s)
         return self.solver.exact_mbt(self.graphs.Graph(n, edges), opts)
 
     def kernel_masks(self, p: int, q: int) -> list[int]:
@@ -163,15 +163,13 @@ def differing_keys(a: dict, b: dict) -> list[str]:
 
 
 def solves(graphs, base: Tree):
-    """(label, n, edges, symmetry, max_pages, timeout_s) of every solve of
-    ``graphs``, with b the bound that ``base`` counts."""
+    """(label, n, edges, max_pages, timeout_s) of every solve of ``graphs``,
+    with b the bound that ``base`` counts."""
     for name, n, edges in graphs:
         b = base.solver.lower_bound(base.graphs.Graph(n, edges)).value
-        for symmetry in (True, False):
-            for cap in (None, b - 1, b, b + 1):
-                for timeout_s in (0, None):
-                    label = f"{name} symmetry={symmetry} max_pages={cap} timeout={timeout_s}"
-                    yield label, n, edges, symmetry, cap, timeout_s
+        for cap in (None, b - 1, b, b + 1):
+            for timeout_s in (0, None):
+                yield f"{name} max_pages={cap} timeout={timeout_s}", n, edges, cap, timeout_s
 
 
 def identity(base: Tree, head: Tree, graphs) -> tuple[list[str], int]:
@@ -223,7 +221,7 @@ def ab(base: Tree, head: Tree) -> list[str]:
 
     def solve_all(side, graphs):
         for n, edges in graphs:
-            trees[side].solve(n, edges, True, None, None)
+            trees[side].solve(n, edges, None, None)
 
     workloads = {
         "solve-refute": lambda side: solve_all(side, refute),

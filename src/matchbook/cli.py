@@ -43,11 +43,7 @@ def _emit(args, text: str, summary: dict) -> None:
 
 
 def _solve_options(args) -> SolveOptions:
-    return SolveOptions(
-        max_pages=args.max_pages,
-        timeout_s=args.timeout,
-        symmetry=not args.no_symmetry,
-    )
+    return SolveOptions(max_pages=args.max_pages, timeout_s=args.timeout)
 
 
 # gen
@@ -164,7 +160,6 @@ def _add_io_flags(sp, output: bool = True) -> None:
 def _add_solver_flags(sp) -> None:
     sp.add_argument("--max-pages", type=int, default=None)
     sp.add_argument("--timeout", type=float, default=600.0, help="global budget in seconds")
-    sp.add_argument("--no-symmetry", action="store_true", help="enumerate all spine orders")
 
 
 def _construction_schemes() -> list[str]:

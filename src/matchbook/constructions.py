@@ -68,8 +68,6 @@ def complete_embedding(p: int) -> BookEmbedding:
     residue occurs on some edge, so the p pages are all used; K1 and K2
     have at most one edge, on page 0.
     """
-    if p < 1:
-        raise ValueError("complete graph needs p >= 1")
     g = complete(p)
     if p <= 2:
         return BookEmbedding(g, range(p), (0,) * g.m, g.m)

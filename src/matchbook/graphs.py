@@ -18,31 +18,6 @@ from typing import NamedTuple
 
 Edge = tuple[int, int]
 
-__all__ = [
-    "Edge",
-    "Graph",
-    "ProductLabel",
-    "BipartitionResult",
-    "complete",
-    "cycle",
-    "path",
-    "complete_bipartite",
-    "hypercube",
-    "cartesian_product",
-    "kpcq",
-    "FAMILIES",
-    "delete_edge",
-    "adjacency",
-    "degrees",
-    "max_degree",
-    "is_regular",
-    "is_connected",
-    "bipartition",
-    "product_labels",
-    "n_left",
-    "vertex_labels",
-]
-
 
 def _canonical_edges(n: int, edges) -> tuple[Edge, ...]:
     seen: set[Edge] = set()

@@ -24,20 +24,6 @@ from typing import NamedTuple
 
 from .graphs import Edge, Graph
 
-__all__ = [
-    "BookEmbedding",
-    "Crossing",
-    "MatchingViolation",
-    "ValidationReport",
-    "MalformedEmbeddingError",
-    "check_structure",
-    "crossings",
-    "incidence",
-    "is_int",
-    "straddling",
-    "validate",
-]
-
 
 class MalformedEmbeddingError(ValueError):
     """Structurally broken embedding, as opposed to a merely invalid one."""

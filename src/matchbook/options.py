@@ -22,12 +22,12 @@ class SolveOptions(NamedTuple):
     search in this process; the field stays only because the benchmark
     harness still passes it. A solve's node budget, per full spine, is the
     module constant ``DEFAULT_ORDER_NODES`` of ``solver``; its lower bound
-    is a count and needs none."""
+    is a count and needs none. Every solve tests one spine order per
+    rotation and reflection class (``solver._PrefixSearch``)."""
 
     max_pages: int | None = None
     timeout_s: float | None = 600.0
     jobs: int = 1
-    symmetry: bool = True
 
     def checked(self) -> SolveOptions:
         """These options, once ``timeout_s`` and ``max_pages`` are known to

@@ -336,10 +336,10 @@ class _PrefixSearch:
 
     Vertices are placed left to right, each time trying the free vertices
     in increasing order, so the canonical orders (vertex 0 first and the
-    second vertex below the last, under symmetry) are reached in
-    lexicographic order. Every unplaced vertex lies right of every placed
-    one, and a crossing depends only on the relative order of four
-    endpoints, so some conflicts are decided by the prefix alone:
+    second vertex below the last) are reached in lexicographic order.
+    Every unplaced vertex lies right of every placed one, and a crossing
+    depends only on the relative order of four endpoints, so some
+    conflicts are decided by the prefix alone:
     two closed edges (both ends placed) cross as on a full spine, and a
     closed edge conflicts with an open edge whose placed end lies strictly
     between its ends. The decided conflicts hold in every completion, so
@@ -360,8 +360,8 @@ class _PrefixSearch:
     result and counters do not depend on ``SolveOptions.jobs``. It counts its
     effort into the solve's ``stats``, its orders in ``stats.per_level[k]``.
 
-    Under symmetry, twins are placed in increasing order. Twins are
-    u ≠ v with N(u)∖{v} = N(v)∖{u}, so the swap (u v) is an automorphism
+    Twins are placed in increasing order. Twins are u ≠ v with
+    N(u)∖{v} = N(v)∖{u}, so the swap (u v) is an automorphism
     of g. The search does not place v while a twin u < v is free, and
     counts that child's canonical orders as settled. This is sound: take a
     canonical order σ that extends the prefix P with v and has u later.
@@ -373,10 +373,9 @@ class _PrefixSearch:
     σ[1] gives v = σ'[-1] > σ'[1]. So every skipped order has an earlier
     canonical order just as feasible, the earliest feasible order is never
     skipped, and the witness, ``per_level`` and ``orders_tested`` are those
-    of the plain search; only search is saved. Twins are one class
+    of a search without the rule; only search is saved. Twins are one class
     per open or closed neighbourhood, and the rule places each class in
     increasing order, so checking v's nearest smaller twin suffices.
-    Without symmetry the search stays plain enumeration: it is the oracle.
 
     A prefix is refuted or descended, and the kernel runs only on full
     spines. A placement of v that decided new conflicts goes to ``clique``,
@@ -422,23 +421,21 @@ class _PrefixSearch:
     do not change; only search is saved.
     """
 
-    def __init__(self, g: Graph, k: int, symmetry: bool, deadline: float | None, stats: SolveStats):
+    def __init__(self, g: Graph, k: int, deadline: float | None, stats: SolveStats):
         self.n, self.edges = g.n, g.edges
         self.inc = incidence(self.n, self.edges)
         self.k = k
-        self.symmetry = symmetry
         self.near = near = [0] * self.n  # each vertex's neighbours
         for a, b in self.edges:
             near[a] |= 1 << b
             near[b] |= 1 << a
         self.short = sum(1 << v for v in range(self.n) if near[v].bit_count() < k)
         self.twin = [-1] * self.n  # each vertex's nearest smaller twin
-        if symmetry:
-            last: dict[int, int] = {}
-            for v in range(self.n):
-                for hood in (near[v], near[v] | 1 << v):
-                    self.twin[v] = last.get(hood, self.twin[v])
-                    last[hood] = v
+        last: dict[int, int] = {}
+        for v in range(self.n):
+            for hood in (near[v], near[v] | 1 << v):
+                self.twin[v] = last.get(hood, self.twin[v])
+                last[hood] = v
         self.spine, self.pos, self.odd = [0] * g.n, [0] * g.n, [0] * (g.n + 1)
         self.free, self.ends = [(1 << g.n) - 1] * (g.n + 1), [(0, 0)] * (g.n + 1)
         self.before = [(0, 0)] * (g.n + 1)
@@ -492,8 +489,6 @@ class _PrefixSearch:
     def leaves(self, d: int, v: int) -> tuple[int, int]:
         """(c, f): c·f! canonical spine orders extend spine[:d] by v."""
         rest = self.n - d - 1
-        if not self.symmetry:
-            return 1, rest
         # the order is canonical when its last vertex exceeds its second
         second = self.spine[1] if d > 1 else v
         if rest == 0:
@@ -572,15 +567,14 @@ class _PrefixSearch:
         refuted by parity or ``clique``, coloured by the kernel when its
         spine is full, or else pushed. The root is never a full spine, as
         ``exact_mbt`` scans no level of a graph with fewer than 3 vertices
-        (connected, its greedy upper bound is its lower bound). So one
-        ``symmetry`` flag serves both canonical rules, though pinning vertex 0
-        first needs one vertex and keeping the second below the last, three.
+        (connected, its greedy upper bound is its lower bound). So both
+        canonical rules hold on every scanned level: pinning vertex 0 first
+        needs one vertex, and keeping the second below the last, three.
         """
         n, k, twin, stats, deadline = self.n, self.k, self.twin, self.stats, self.deadline
         free, masks, per_level = self.free, self.masks, stats.per_level
-        if self.symmetry:
-            self.place(0, 0)  # the root is vertex 0, and depth 0 has no other vertex to try
-        stack = [n, 0] if self.symmetry else [0]
+        self.place(0, 0)  # the root is vertex 0, and depth 0 has no other vertex to try
+        stack = [n, 0]
         while stack:
             d = len(stack) - 1
             rest = free[d] >> stack[d] << stack[d]
@@ -651,7 +645,7 @@ def exact_mbt(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
     exhaustive = True
     try:
         for k in range(cert.value, upper if cap is None else min(upper, cap + 1)):
-            search = _PrefixSearch(g, k, opts.symmetry, deadline, stats)
+            search = _PrefixSearch(g, k, deadline, stats)
             found = search.run()
             if found is not None:
                 spine, pages = found

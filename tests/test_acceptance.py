@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 
 import random
 import time
+from math import factorial
 
 from matchbook.constructions import (
     SCHEME_KPCQ_EVEN,
@@ -30,6 +31,7 @@ from matchbook.graphs import (
 from matchbook.layout import BookEmbedding, validate
 from matchbook.solver import exact_mbt, lower_bound
 from oracles import brute_violations, check_odd_cycle, overfull_count
+from test_solver import flat_scan
 
 
 def _line(cid: int, detail: str) -> None:
@@ -168,8 +170,6 @@ def test_criterion_7_validator_oracle_equivalence():
 
 
 def test_criterion_8_symmetry_soundness():
-    from matchbook.solver import SolveOptions
-
     families = (
         [complete(p) for p in range(1, 7)]
         + [cycle(q) for q in range(3, 7)]
@@ -179,11 +179,15 @@ def test_criterion_8_symmetry_soundness():
     )
     for g in families:
         assert g.n <= 6
-        sym = exact_mbt(g, SolveOptions(symmetry=True))
-        raw = exact_mbt(g, SolveOptions(symmetry=False))
-        assert sym.value == raw.value, (g.name, sym.value, raw.value)
-        assert sym.exhaustive and raw.exhaustive
-    _line(8, f"{len(families)} graphs: reduced and unreduced optima agree")
+        res = exact_mbt(g)
+        assert res.exhaustive
+        # over all n! orders, no level below the value is feasible, and the
+        # first feasible order at the value is the witness spine
+        for k in range(res.bound.value, res.value):
+            assert flat_scan(g, k, False) == (None, factorial(g.n)), (g.name, k)
+        found, _ = flat_scan(g, res.value, False)
+        assert found[0] == res.witness.spine, (g.name, found[0], res.witness.spine)
+    _line(8, f"{len(families)} graphs: the reduced scan's optima and witnesses match all n! orders")
 
 
 def test_criterion_9_lower_bound_behavior():

@@ -333,14 +333,6 @@ def test_solve_k33_with_witness_file(capsys, tmp_path):
     assert load_embedding(wp).page_count == 3
 
 
-def test_solve_no_symmetry_flag(capsys, tmp_path):
-    gp = tmp_path / "c4.json"
-    save_graph(cycle(4), gp)
-    code, out, _ = run(capsys, "solve", str(gp), "--no-symmetry")
-    assert code == 0
-    assert json.loads(out)["value"] == 2
-
-
 def test_solve_max_pages_unsolved(capsys, tmp_path):
     gp = tmp_path / "k4.json"
     save_graph(complete(4), gp)
@@ -593,6 +585,8 @@ def test_solver_under_a_page_cap_below_the_answer_is_unresolved(capsys, tmp_path
         ["verify", "g.json", "e.json", "-o", "r.json"],
         ["solve", "g.json", "--jobs", "2"],
         ["embed", "g.json", "--jobs", "2"],
+        ["solve", "g.json", "--no-symmetry"],
+        ["embed", "g.json", "--no-symmetry"],
     ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):

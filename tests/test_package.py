@@ -95,9 +95,10 @@ def test_bound_certificate_defaults():
 
 def test_solve_options_defaults_and_keywords():
     opts = SolveOptions()
-    assert (opts.max_pages, opts.timeout_s, opts.jobs, opts.symmetry) == (None, 600.0, 1, True)
-    opts = SolveOptions(max_pages=3, timeout_s=None, jobs=2, symmetry=False)
-    assert (opts.max_pages, opts.timeout_s, opts.jobs, opts.symmetry) == (3, None, 2, False)
+    assert SolveOptions._fields == ("max_pages", "timeout_s", "jobs")
+    assert (opts.max_pages, opts.timeout_s, opts.jobs) == (None, 600.0, 1)
+    opts = SolveOptions(max_pages=3, timeout_s=None, jobs=2)
+    assert (opts.max_pages, opts.timeout_s, opts.jobs) == (3, None, 2)
     assert SolveOptions(max_pages=3) == SolveOptions(3)
     assert matchbook.SolveOptions is SolveOptions
 

@@ -145,24 +145,24 @@ def test_solver_identity_names_the_keys_that_differ(tmp_path, monkeypatch, reque
     base, head = (ident.Tree(src, name, str(tmp_path)) for name in names)
     graphs = [("C5", 5, cycle(5).edges), ("K6-e", 6, tuple(e for e in combinations(range(6), 2) if e != (0, 1)))]
     lines, differ = ident.identity(base, head, graphs)
-    assert differ == 0 and lines[-1] == "32 solves of 2 graphs, 0 differ"
+    assert differ == 0 and lines[-1] == "16 solves of 2 graphs, 0 differ"
     monkeypatch.setattr(head.solver._PrefixSearch, "parity", lambda self, d, v: False)
     lines, differ = ident.identity(base, head, graphs)
-    counts = {"stats.clique_refuted": 6, "stats.clique_steps": 6, "stats.parity_refuted": 6, "stats.placements": 6}
+    counts = {"stats.clique_refuted": 3, "stats.clique_steps": 3, "stats.parity_refuted": 3, "stats.placements": 3}
     keys = ["bound.chromatic_index", "bound.max_degree", "bound.odd_cycle", "bound.overfull", "bound.reason",
             "bound.regular_degree", "bound.value", "exhaustive", "stats.clique_refuted", "stats.clique_steps",
             "stats.kernel_calls", "stats.nodes", "stats.orders_tested", "stats.parity_refuted", "stats.per_level",
             "stats.placements", "stats.timed_out", "value", "witness"]
-    assert lines[:19] == [f"{key}: {counts.get(key, 0)} of 32 solves differ" for key in keys]
-    assert lines[19] == "  K6-e symmetry=True max_pages=None timeout=None: " + ", ".join(counts)
-    assert (lines[-1], differ) == ("32 solves of 2 graphs, 6 differ", 6)
+    assert lines[:19] == [f"{key}: {counts.get(key, 0)} of 16 solves differ" for key in keys]
+    assert lines[19] == "  K6-e max_pages=None timeout=None: " + ", ".join(counts)
+    assert (lines[-1], differ) == ("16 solves of 2 graphs, 3 differ", 3)
     # values are compared with their types: an int exhaustive flag is no bool
     monkeypatch.undo()
     solve = head.solver.exact_mbt
     monkeypatch.setattr(head.solver, "exact_mbt", lambda *a: (r := solve(*a))._replace(exhaustive=int(r.exhaustive)))
     lines, differ = ident.identity(base, head, graphs)
-    assert lines[7] == "exhaustive: 32 of 32 solves differ" and differ == 32
-    assert lines[19] == "  C5 symmetry=True max_pages=None timeout=0: exhaustive"
+    assert lines[7] == "exhaustive: 16 of 16 solves differ" and differ == 16
+    assert lines[19] == "  C5 max_pages=None timeout=0: exhaustive"
 
 
 def test_mutants_names_the_test_that_kills_a_mutant(request, monkeypatch, capsys):

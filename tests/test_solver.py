@@ -244,10 +244,15 @@ def test_sandwich_lower_bound_vs_value():
     [complete(4), complete(5), cycle(3), cycle(4), cycle(5), path(4), complete_bipartite(2, 2)],
 )
 def test_symmetry_quotient_loses_nothing(g):
-    with_sym = exact_mbt(g, SolveOptions(symmetry=True))
-    without = exact_mbt(g, SolveOptions(symmetry=False))
-    assert with_sym.value == without.value
-    assert with_sym.exhaustive and without.exhaustive
+    # the scan tests one order per rotation/reflection class; over all n!
+    # orders no level below its value is feasible, and the first feasible
+    # order at its value is its witness spine
+    res = exact_mbt(g)
+    assert res.exhaustive
+    for k in range(res.bound.value, res.value):
+        assert flat_scan(g, k, False) == (None, factorial(g.n))
+    found, _ = flat_scan(g, res.value, False)
+    assert found[0] == res.witness.spine
 
 
 def test_max_pages_cap():
@@ -275,12 +280,12 @@ def connected_graphs(draw):
     return Graph(g.n, tuple(sorted({*g.edges, *((i, i + 1) for i in range(g.n - 1))})), name="H")
 
 
-@given(connected_graphs(), st.integers(-1, 2), st.booleans(), st.sampled_from([None, 0]))
+@given(connected_graphs(), st.integers(-1, 2), st.sampled_from([None, 0]))
 @settings(max_examples=150, deadline=None)
-def test_no_answer_exceeds_max_pages(g, offset, symmetry, timeout):
+def test_no_answer_exceeds_max_pages(g, offset, timeout):
     # with or without a timeout, an answer above the cap is no answer
     cap = max(0, max_degree(g) + offset)
-    res = exact_mbt(g, SolveOptions(max_pages=cap, timeout_s=timeout, symmetry=symmetry))
+    res = exact_mbt(g, SolveOptions(max_pages=cap, timeout_s=timeout))
     if res.value is None:
         assert res.witness is None and not res.exhaustive
     else:
@@ -661,8 +666,8 @@ def replay_state(search, spine):
     return search
 
 
-def replay(g, spine, symmetry=False):
-    return replay_state(_PrefixSearch(g, 1, symmetry, None, SolveStats()), spine).masks[len(spine)]
+def replay(g, spine):
+    return replay_state(_PrefixSearch(g, 1, None, SolveStats()), spine).masks[len(spine)]
 
 
 @given(graphs(min_n=1, max_n=8), st.randoms(use_true_random=False), st.integers(0, 8))
@@ -698,7 +703,7 @@ def test_clique_refutations_hold_in_every_completion(g, rnd, offset):
     head = max(0, g.n - 4)
     completions = [(*spine[:head], *tail) for tail in permutations(spine[head:])]
     full = [brute_conflict_masks(order, g.edges) for order in completions]
-    search = replay_state(_PrefixSearch(g, k, False, None, SolveStats()), spine[:head])
+    search = replay_state(_PrefixSearch(g, k, None, SolveStats()), spine[:head])
     for at in range(head, g.n):
         grown = search.place(at, spine[at])
         common = [-1] * g.m
@@ -715,7 +720,7 @@ def check_clique_is_exact(g, k, spine):
     # at each placement, ``clique`` finds k+1 pairwise-conflicting edges
     # through a new conflict exactly when the brute-force oracle does; the
     # new conflicts are those ``place`` reports, at the edges at v
-    search = _PrefixSearch(g, k, False, None, SolveStats())
+    search = _PrefixSearch(g, k, None, SolveStats())
     for d, v in enumerate(spine):
         grown = search.place(d, v)
         before, masks = search.masks[d], search.masks[d + 1]
@@ -745,7 +750,7 @@ def test_clique_finds_what_a_greedy_search_missed():
     g = Graph(7, edges)
     prefix = (5, 6, 4, 2, 3, 1)
     check_clique_is_exact(g, 5, prefix)
-    search = replay_state(_PrefixSearch(g, 5, False, None, SolveStats()), prefix[:-1])
+    search = replay_state(_PrefixSearch(g, 5, None, SolveStats()), prefix[:-1])
     grown = search.place(5, prefix[-1])
     assert search.clique(search.masks[6], grown).bit_count() == 6
 
@@ -757,18 +762,18 @@ def test_clique_finds_what_a_greedy_search_missed():
     st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_parity_refutations_hold_in_every_completion(g, rnd, offset, symmetry):
-    # each placement along a random spine (vertex 0 first under symmetry):
-    # when page parity refutes it, on either side of the edge it closes, no
-    # completion of the prefix has k pages; at k = Δ + 1 every vertex is
-    # short, so parity must refute nothing there
+def test_parity_refutations_hold_in_every_completion(g, rnd, offset, pinned):
+    # each placement along a random spine (vertex 0 first when pinned, as
+    # the search places it): when page parity refutes it, on either side of
+    # the edge it closes, no completion of the prefix has k pages; at
+    # k = Δ + 1 every vertex is short, so parity must refute nothing there
     k = max(1, max_degree(g) + offset)
     spine = list(range(g.n))
     rnd.shuffle(spine)
-    if symmetry:
+    if pinned:
         spine.remove(0)
         spine.insert(0, 0)
-    search = _PrefixSearch(g, k, symmetry, None, SolveStats())
+    search = _PrefixSearch(g, k, None, SolveStats())
     for at, v in enumerate(spine):
         if search.parity(at, v):
             head = spine[: at + 1]
@@ -783,7 +788,7 @@ def test_parity_refutes_a_prefix_that_holds_no_clique():
     edges = ((0, 1), (0, 4), (0, 7), (1, 2), (1, 6), (2, 5), (2, 6), (3, 7), (5, 6))
     g = Graph(8, edges)
     prefix = (7, 0, 1, 2, 3)
-    search = replay_state(_PrefixSearch(g, 3, False, None, SolveStats()), prefix[:-1])
+    search = replay_state(_PrefixSearch(g, 3, None, SolveStats()), prefix[:-1])
     assert search.near[3] & search.ends[4][0] and search.parity(4, 3)
     grown = search.place(4, 3)
     assert grown and search.clique(search.masks[5], grown) == 0
@@ -799,7 +804,7 @@ def test_parity_refutes_by_the_vertices_outside_the_closed_edge():
     edges = ((0, 1), (0, 2), (1, 5), (2, 3), (3, 4))
     g = Graph(6, edges)
     prefix = (2, 5, 4, 1)
-    search = replay_state(_PrefixSearch(g, 2, False, None, SolveStats()), prefix[:-1])
+    search = replay_state(_PrefixSearch(g, 2, None, SolveStats()), prefix[:-1])
     assert not search.near[1] & search.ends[3][0]
     assert search.parity(3, 1)
     grown = search.place(3, 1)
@@ -812,36 +817,37 @@ def test_parity_refutes_c5_at_its_first_closed_edge(symmetry):
     # the prefix form of the regular-nonbipartite bound: in a regular graph
     # of odd order at k = its degree, the sets inside and outside a closed
     # edge hold n − 2 full vertices between them, so one is odd; every prefix of
-    # C5 is refuted at 2 pages where it first closes an edge
+    # C5, canonical or (without symmetry) any of the 5! orders, is refuted
+    # at 2 pages where it first closes an edge
     g = cycle(5)
     stats = SolveStats()
-    assert _PrefixSearch(g, 2, symmetry, None, stats).run() is None
+    assert _PrefixSearch(g, 2, None, stats).run() is None
     assert (stats.clique_refuted, stats.kernel_calls) == (0, 0) and stats.parity_refuted > 0
     for spine in spine_orders(5, symmetry):
-        search = _PrefixSearch(g, 2, symmetry, None, SolveStats())
+        search = _PrefixSearch(g, 2, None, SolveStats())
         at = next(d for d in range(1, 5) if search.near[spine[d]] & sum(1 << u for u in spine[:d]))
         assert replay_state(search, spine[:at]).parity(at, spine[at])
 
 
 @given(graphs(min_n=3, max_n=8), st.randoms(use_true_random=False), st.booleans())
 @settings(max_examples=100)
-def test_a_sibling_overwrites_a_sibling(g, rnd, symmetry):
+def test_a_sibling_overwrites_a_sibling(g, rnd, pinned):
     # the search keeps one root-to-leaf path: after a full spine, placing
     # another free vertex u at depth d must leave the entries at d+1 as a
-    # fresh search of spine[:d] + [u] has them; vertex 0 stays pinned first
-    # under symmetry, as the search never replaces it
+    # fresh search of spine[:d] + [u] has them; when pinned, vertex 0 stays
+    # first, as the search never replaces it
     k = rnd.randint(1, max(1, max_degree(g)))
     spine = list(range(g.n))
     rnd.shuffle(spine)
-    if symmetry:
+    if pinned:
         spine.remove(0)
         spine.insert(0, 0)
-    d = rnd.randint(int(symmetry), g.n - 2)
+    d = rnd.randint(int(pinned), g.n - 2)
     u = rnd.choice(spine[d + 1:])
-    search = replay_state(_PrefixSearch(g, k, symmetry, None, SolveStats()), spine)
+    search = replay_state(_PrefixSearch(g, k, None, SolveStats()), spine)
     search.place(d, u)
     prefix = [*spine[:d], u]
-    fresh = replay_state(_PrefixSearch(g, k, symmetry, None, SolveStats()), prefix)
+    fresh = replay_state(_PrefixSearch(g, k, None, SolveStats()), prefix)
     assert search.spine[: d + 1] == prefix == fresh.spine[: d + 1]
     assert [search.pos[v] for v in prefix] == list(range(d + 1))
     for field in ("odd", "free", "ends", "before", "masks"):
@@ -882,11 +888,11 @@ def test_clique_search_depth_is_not_bounded_by_the_recursion_limit():
     size = need + 50
     everything = (1 << size) - 1
     masks = [everything ^ 1 << i for i in range(size)]
-    search = _PrefixSearch(path(2), need + 1, False, None, SolveStats())
+    search = _PrefixSearch(path(2), need + 1, None, SolveStats())
     assert search.extend(masks, 0, everything, need) == (1 << need) - 1
     assert search.extend(masks, 0, everything, size + 1) == 0
     # a passed deadline stops the search at its 1,024th step
-    late = _PrefixSearch(path(2), need + 1, False, time.monotonic() - 1, SolveStats())
+    late = _PrefixSearch(path(2), need + 1, time.monotonic() - 1, SolveStats())
     with pytest.raises(_Timeout):
         late.extend(masks, 0, everything, need)
     assert late.stats.clique_steps == 1024
@@ -944,17 +950,21 @@ def random_connected(count, seed):
 @pytest.mark.parametrize("symmetry", [True, False])
 @pytest.mark.parametrize("g", SCAN_CORPUS + random_connected(100, 17), ids=lambda g: g.name)
 def test_prefix_scan_matches_flat_scan(g, symmetry):
-    res = exact_mbt(g, SolveOptions(symmetry=symmetry))
+    # the oracle scans one order per rotation/reflection class, or with
+    # symmetry off all n! orders; either way its first feasible order is
+    # the search's, and the canonical scan also counts the orders it tested
+    res = exact_mbt(g)
     assert res.exhaustive
     assert res.stats.orders_tested == sum(res.stats.per_level.values())
     everything = factorial(g.n - 1) // 2 if symmetry else factorial(g.n)
     for k in range(res.bound.value, res.value + 1):
         stats = SolveStats()
-        search = _PrefixSearch(g, k, symmetry, None, stats)
+        search = _PrefixSearch(g, k, None, stats)
         found = search.run()
         expected, tested = flat_scan(g, k, symmetry)
         assert found == expected and not search.unknown
-        assert stats.per_level == {k: tested}
+        if symmetry:
+            assert stats.per_level == {k: tested}
         if k < res.value:
             assert found is None and tested == everything
         else:
@@ -973,21 +983,31 @@ def test_prefix_scan_matches_flat_scan(g, symmetry):
     "g", [cycle(5), complete(5), delete_edge(complete(6), (0, 1))], ids=lambda g: g.name
 )
 def test_prefix_scan_below_the_bound(g, symmetry):
-    # below the bound every order is infeasible; the scan refutes each one
-    # by a clique at a prefix or by the kernel at its full spine, and must
-    # count every order without claiming an unknown
+    # below the bound every order is infeasible, canonical or (with symmetry
+    # off) any of the n!; the scan refutes each canonical one at a prefix or
+    # by the kernel at its full spine, and must count every one without
+    # claiming an unknown
     k = lower_bound(g).value - 1
     stats = SolveStats()
-    search = _PrefixSearch(g, k, symmetry, None, stats)
+    search = _PrefixSearch(g, k, None, stats)
     assert (search.run(), search.unknown) == (None, False)
-    assert stats.per_level == {k: flat_scan(g, k, symmetry)[1]}
+    canonical = factorial(g.n - 1) // 2
+    assert stats.per_level == {k: canonical}
+    assert flat_scan(g, k, symmetry) == (None, canonical if symmetry else factorial(g.n))
 
 
-@pytest.mark.parametrize("symmetry", [True, False])
+def reversed_labels(g):
+    """g with each vertex v relabelled n − 1 − v: another vertex is pinned
+    first, and twins are met in the other order."""
+    return Graph(g.n, ((g.n - 1 - a, g.n - 1 - b) for a, b in g.edges), name=g.name)
+
+
+@pytest.mark.parametrize("as_labelled", [True, False])
 @pytest.mark.parametrize("g", SCAN_CORPUS, ids=lambda g: g.name)
-def test_scan_stats_do_not_depend_on_jobs(g, symmetry):
-    serial = exact_mbt(g, SolveOptions(jobs=1, symmetry=symmetry))
-    parallel = exact_mbt(g, SolveOptions(jobs=2, symmetry=symmetry))
+def test_scan_stats_do_not_depend_on_jobs(g, as_labelled):
+    g = g if as_labelled else reversed_labels(g)
+    serial = exact_mbt(g, SolveOptions(jobs=1))
+    parallel = exact_mbt(g, SolveOptions(jobs=2))
     assert (serial.value, serial.exhaustive) == (parallel.value, parallel.exhaustive)
     assert serial.witness == parallel.witness
     a, b = serial.stats, parallel.stats
@@ -997,17 +1017,18 @@ def test_scan_stats_do_not_depend_on_jobs(g, symmetry):
 
 
 @pytest.mark.parametrize(
-    "g, symmetry",
+    "g, as_labelled",
     [
         *(pytest.param(g, s, id=f"{g.name}-{s}") for g in SCAN_CORPUS for s in (True, False)),
         *(pytest.param(_corpus_graph(e["name"]), True, id=f"corpus-{e['name']}") for e in CORPUS),
     ],
 )
-def test_kernel_colours_each_full_spine_once(g, symmetry, monkeypatch):
+def test_kernel_colours_each_full_spine_once(g, as_labelled, monkeypatch):
     # prefixes are refuted by cliques alone: the scan calls the kernel only
     # right after placing a full spine, on that spine's conflict masks, and
     # never twice on one spine
-    res = exact_mbt(g, SolveOptions(symmetry=symmetry))
+    g = g if as_labelled else reversed_labels(g)
+    res = exact_mbt(g)
     placed, coloured = [()], []
     place, kernel = _PrefixSearch.place, solver.color_graph
 
@@ -1027,7 +1048,7 @@ def test_kernel_colours_each_full_spine_once(g, symmetry, monkeypatch):
     calls = 0
     for k in range(res.bound.value, res.value + 1):
         stats = SolveStats()
-        search = _PrefixSearch(g, k, symmetry, None, stats)
+        search = _PrefixSearch(g, k, None, stats)
         found = search.run()
         calls += stats.kernel_calls
         assert (found is not None) == (k == res.value) and not search.unknown
