@@ -68,10 +68,12 @@ MUTANTS = [
            "cliques of k edges accepted as refutations"),
     Mutant(SOLVER, "if classes < need:", "if classes <= need:",
            "the colour guard refuting at need classes"),
+    Mutant(SOLVER, "if cand.bit_count() > need + 2:", "if cand.bit_count() > need + 1:",
+           "the colour guard run with one candidate fewer to spare, so it takes fewer steps"),
     Mutant(SOLVER, "if cand.bit_count() >= want - 1:", "if cand.bit_count() >= want:",
-           "extend descending only with a candidate to spare, so it misses a clique with none"),
+           "the clique search descending only with a candidate to spare, so it misses a clique with none"),
     Mutant(SOLVER, "if cand.bit_count() < want:", "if cand.bit_count() < want - 1:",
-           "extend keeping a depth with one candidate too few, so it takes more steps"),
+           "the clique search keeping a depth with one candidate too few, so it takes more steps"),
     # the counted bound
     Mutant(SOLVER, "if -(-m // (size // 2)) > best:", "if -(-m // (size // 2)) >= best:",
            "overfull_bound keeping the last set of the largest count, not the first"),

@@ -184,8 +184,11 @@ def first_fit_pages(g: Graph, spine: tuple[int, ...]) -> tuple[int, ...]:
     members: list[int] = []  # per page, the edges already on it
     pages = []
     for i, mask in enumerate(conflict_masks(g, spine)):
-        c = next((c for c, on in enumerate(members) if not mask & on), len(members))
-        if c == len(members):
+        for c, on in enumerate(members):
+            if not mask & on:
+                break
+        else:
+            c = len(members)
             members.append(0)
         members[c] |= 1 << i
         pages.append(c)
@@ -498,10 +501,15 @@ class _PrefixSearch:
     def clique(self, masks: list[int], grown: list[tuple[int, int]]) -> int:
         """The mask of k+1 edges that all conflict under ``masks`` and hold a
         conflict (f, g) that ``place`` listed in ``grown``, or 0 if none do.
-        Each new pair asks ``extend`` for k−1 more in ``masks[f] & masks[g]``;
+        Each new pair seeks its ``need`` = k−1 others in ``masks[f] & masks[g]``;
         within one f, each g tried leaves the later pairs' candidates, since
-        every clique holding f and g was searched with it."""
+        every clique holding f and g was searched with it. A class of a greedy
+        colouring, like a page, holds at most one edge of a clique, so fewer
+        than ``need`` classes refute a pair (Tomita & Seki). The search keeps
+        its own stack, so ``need`` is not bounded by the recursion limit, and
+        checks the deadline every 1,024 steps."""
         need = self.k - 1
+        stats, deadline = self.stats, self.deadline
         for f, new in grown:
             low, near = 1 << f, masks[f]
             while new:
@@ -509,52 +517,41 @@ class _PrefixSearch:
                 new ^= bit
                 near ^= bit
                 cand = near & masks[bit.bit_length() - 1]
-                if cand.bit_count() >= need and (found := self.extend(masks, low | bit, cand, need)):
-                    return found
+                if cand.bit_count() < need:
+                    continue
+                if cand.bit_count() > need + 2:
+                    left, classes = cand, 0
+                    while left and classes < need:
+                        free, classes = left, classes + 1
+                        while free:
+                            one = free & -free
+                            left ^= one
+                            free = (free ^ one) & ~masks[one.bit_length() - 1]
+                    if classes < need:
+                        continue
+                stack, chosen, want = [cand], 0, need
+                while want:
+                    stats.clique_steps += 1
+                    if not stats.clique_steps & 1023 and deadline is not None and time.monotonic() > deadline:
+                        raise _Timeout
+                    cand = stack[-1]
+                    if cand.bit_count() < want:
+                        stack.pop()
+                        if not stack:
+                            break  # no clique holds this pair
+                        chosen ^= 1 << chosen.bit_length() - 1  # the last taken is the highest
+                        want += 1
+                        continue
+                    one = cand & -cand
+                    stack[-1] = cand = cand ^ one
+                    cand &= masks[one.bit_length() - 1]
+                    if cand.bit_count() >= want - 1:
+                        stack.append(cand)
+                        chosen |= one
+                        want -= 1
+                else:
+                    return low | bit | chosen
         return 0
-
-    def extend(self, masks: list[int], found: int, cand: int, need: int) -> int:
-        """``found`` plus ``need`` edges of ``cand`` that pairwise conflict
-        under ``masks``, or 0 when there are none. With more than two to
-        spare, a greedy colouring first splits the candidates into classes
-        of pairwise non-conflicting edges; like a page, a class holds at most
-        one edge of a clique, so fewer than ``need`` classes refute (Tomita
-        & Seki). The search takes candidates lowest index first on its own
-        stack, so ``need`` is not bounded by the recursion limit, and gives
-        up a depth or a candidate once fewer candidates are left than edges
-        wanted. The deadline is checked every 1,024 steps."""
-        if cand.bit_count() > need + 2:
-            left, classes = cand, 0
-            while left and classes < need:
-                free, classes = left, classes + 1
-                while free:
-                    bit = free & -free
-                    left ^= bit
-                    free = (free ^ bit) & ~masks[bit.bit_length() - 1]
-            if classes < need:
-                return 0
-        stats, deadline = self.stats, self.deadline
-        stack, chosen, want = [cand], 0, need
-        while want:
-            stats.clique_steps += 1
-            if not stats.clique_steps & 1023 and deadline is not None and time.monotonic() > deadline:
-                raise _Timeout
-            cand = stack[-1]
-            if cand.bit_count() < want:
-                stack.pop()
-                if not stack:
-                    return 0
-                chosen ^= 1 << chosen.bit_length() - 1  # the last taken is the highest
-                want += 1
-                continue
-            bit = cand & -cand
-            stack[-1] = cand = cand ^ bit
-            cand &= masks[bit.bit_length() - 1]
-            if cand.bit_count() >= want - 1:
-                stack.append(cand)
-                chosen |= bit
-                want -= 1
-        return found | chosen
 
     def run(self):
         """Searches the orders below the root and returns the earliest

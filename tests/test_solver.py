@@ -886,15 +886,16 @@ def test_clique_search_stays_small_on_dense_graphs(g):
 def test_clique_search_depth_is_not_bounded_by_the_recursion_limit():
     need = sys.getrecursionlimit() + 50
     size = need + 50
-    everything = (1 << size) - 1
-    masks = [everything ^ 1 << i for i in range(size)]
-    search = _PrefixSearch(path(2), need + 1, None, SolveStats())
-    assert search.extend(masks, 0, everything, need) == (1 << need) - 1
-    assert search.extend(masks, 0, everything, size + 1) == 0
+    masks = [(1 << size) - 1 ^ 1 << i for i in range(size)]  # every pair of edges conflicts
+    grown = [(0, 1 << 1)]  # so the pair (0, 1) leaves edges 2 ... size - 1 as candidates
+    search = _PrefixSearch(path(2), need + 1, None, SolveStats())  # k - 1 = need more edges
+    assert search.clique(masks, grown) == (1 << need + 2) - 1
+    search.k = size + 2  # size + 1 more edges, from size - 2 candidates
+    assert search.clique(masks, grown) == 0
     # a passed deadline stops the search at its 1,024th step
     late = _PrefixSearch(path(2), need + 1, time.monotonic() - 1, SolveStats())
     with pytest.raises(_Timeout):
-        late.extend(masks, 0, everything, need)
+        late.clique(masks, grown)
     assert late.stats.clique_steps == 1024
 
 
